@@ -12,7 +12,8 @@ Unlike E1–E8 (which assert *simulated* behaviour), this suite measures
   main journal shipped and applied to secondary volumes, in entries per
   wall second (the C5 insight: the backup-side apply loop must keep up
   with the primary's ack rate or lag grows without bound).  Measured
-  with the dependency-aware lane applier on (``AdcConfig.apply_lanes``);
+  with whole-batch restore windows (``restore_concurrency`` equal to
+  ``restore_batch``);
 * ``snapshot_under_restore`` — the same drain while quiesced snapshot
   groups churn on the secondary volumes and their memoized images are
   read repeatedly: restore throughput and analytics snapshots at once,
@@ -53,7 +54,7 @@ import gc
 import json
 import pathlib
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bench.tables import Table
 
@@ -152,15 +153,15 @@ def bench_kernel_events(events: int, processes: int = 4) -> float:
 
 
 def bench_restore_drain(entries: int, volumes: int = 2,
-                        restore_concurrency: int = 8,
-                        apply_lanes: int = 8) -> float:
+                        restore_concurrency: int = 4096) -> float:
     """End-to-end drain rate of a pre-filled main journal.
 
     Host writes fill the journal while the background loops are
     stopped; timing starts when the loops start and stops when the
     pipeline has fully applied everything to the secondary volumes.
-    Runs with the dependency-aware lane applier on (``apply_lanes``);
-    pass ``apply_lanes=1`` to measure the serial applier.
+    The default ``restore_concurrency`` equals ``restore_batch``, so
+    each restore wake-up applies the whole batch as one window; pass
+    ``restore_concurrency=1`` to measure the serial applier.
     """
     from repro.simulation.kernel import Simulator
     from repro.simulation.network import NetworkLink
@@ -172,8 +173,7 @@ def bench_restore_drain(entries: int, volumes: int = 2,
     adc = AdcConfig(transfer_interval=0.0005, transfer_batch=4096,
                     restore_interval=0.0005, restore_batch=4096,
                     interval_jitter=0.0,
-                    restore_concurrency=restore_concurrency,
-                    apply_lanes=apply_lanes)
+                    restore_concurrency=restore_concurrency)
     config = ArrayConfig(adc=adc)
     main = StorageArray(sim, serial="PERF-MAIN", config=config)
     backup = StorageArray(sim, serial="PERF-BKUP", config=config)
@@ -215,7 +215,6 @@ def bench_restore_drain(entries: int, volumes: int = 2,
 
 
 def bench_snapshot_under_restore(entries: int, volumes: int = 2,
-                                 apply_lanes: int = 8,
                                  image_reads: int = 4) -> float:
     """Drain rate while analytics snapshots churn on the backup site.
 
@@ -224,8 +223,8 @@ def bench_snapshot_under_restore(entries: int, volumes: int = 2,
     are created on the secondary volumes, their images read repeatedly
     (``image_blocks``/``frozen_version_map`` — the memoized COW path),
     and the groups rotated out.  Reported as drained entries per wall
-    second; exercises the lane applier's consistency-cut barrier, the
-    snapshot quiesce handshake, and the COW install fast path together.
+    second; exercises the whole-window restore commit, the snapshot
+    quiesce handshake, and the COW install fast path together.
     """
     from repro.simulation.kernel import Simulator
     from repro.simulation.network import NetworkLink
@@ -236,8 +235,7 @@ def bench_snapshot_under_restore(entries: int, volumes: int = 2,
     _disable_tracing(sim)
     adc = AdcConfig(transfer_interval=0.0005, transfer_batch=4096,
                     restore_interval=0.0005, restore_batch=4096,
-                    interval_jitter=0.0, restore_concurrency=8,
-                    apply_lanes=apply_lanes)
+                    interval_jitter=0.0, restore_concurrency=4096)
     config = ArrayConfig(adc=adc)
     main = StorageArray(sim, serial="PERF-MAIN", config=config)
     backup = StorageArray(sim, serial="PERF-BKUP", config=config)

@@ -559,13 +559,6 @@ class ChaosEngine:
                 reducer.saved_dedup.value
             counters["wire_bytes_saved_total[compress]"] = \
                 reducer.saved_compress.value
-        # lane counters enter the digest only when the lane applier is
-        # on (same rule as reduction): apply_lanes=1 campaigns digest
-        # byte-identically to pre-lane builds
-        if group.lane_conflicts is not None:
-            counters["restore_lanes"] = group.config.apply_lanes
-            counters["restore_lane_conflicts_total"] = \
-                group.lane_conflicts.value
         if self.slo is not None:
             counters["alerts_fired_total"] = sum(
                 1 for transition in self.slo.transitions

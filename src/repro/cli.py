@@ -133,15 +133,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.transfer_window < 1:
         raise SystemExit("repro: --transfer-window must be >= 1 "
                          f"(got {args.transfer_window})")
-    if args.apply_lanes < 1:
-        raise SystemExit("repro: --apply-lanes must be >= 1 "
-                         f"(got {args.apply_lanes})")
+    if args.restore_concurrency < 1:
+        raise SystemExit("repro: --restore-concurrency must be >= 1 "
+                         f"(got {args.restore_concurrency})")
     seeds = list(range(args.seed, args.seed + args.seeds))
     adc_overrides = {}
     if args.transfer_window > 1:
         adc_overrides["transfer_window"] = args.transfer_window
-    if args.apply_lanes > 1:
-        adc_overrides["apply_lanes"] = args.apply_lanes
+    if args.restore_concurrency > 1:
+        adc_overrides["restore_concurrency"] = args.restore_concurrency
     if args.reduction:
         from repro.storage import ReductionConfig
         adc_overrides["reduction"] = ReductionConfig(enabled=True)
@@ -327,11 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "data-reduction engine enabled (fingerprint "
                             "dedup + inline compression on the "
                             "inter-site link)")
-    chaos.add_argument("--apply-lanes", type=int, default=1, metavar="N",
-                       help="run the campaigns with N dependency-aware "
-                            "restore apply lanes (consistency-cut "
-                            "barrier commit; default 1 = the serial "
-                            "applier)")
+    chaos.add_argument("--restore-concurrency", type=int, default=1,
+                       metavar="N",
+                       help="run the campaigns with restore windows of "
+                            "up to N entries, each committed at one "
+                            "instant (default 1 = the serial applier)")
     chaos.set_defaults(func=_cmd_chaos)
 
     slo = sub.add_parser(

@@ -162,12 +162,6 @@ class HspcDriver(CsiDriver):
         self._groups_by_name[name] = provisioned
         return provisioned
 
-    # -- handle resolution (used by the replication plugin) ------------------
-
-    def resolve_volume_id(self, volume_handle: str) -> int:
-        """Array volume id behind a handle (no latency: local parse)."""
-        return self.array.parse_handle(volume_handle)
-
     def __repr__(self) -> str:
         return (f"<HspcDriver array={self.array.serial!r} "
                 f"volumes={len(self._volumes_by_name)}>")

@@ -29,7 +29,7 @@ philosophy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, Optional, Sequence
 
 from repro.errors import FailoverError
 from repro.apps.analytics import DatabaseImage, recover_business_images
@@ -70,11 +70,6 @@ class FailbackReport:
     def downtime_seconds(self) -> float:
         """Business quiesce duration (the only user-visible stop)."""
         return self.completed_at - self.quiesce_started_at
-
-    @property
-    def total_seconds(self) -> float:
-        """Repair-to-serving-at-main duration."""
-        return self.completed_at - self.started_at
 
 
 @dataclass

@@ -16,8 +16,9 @@ array and a backup array:
   AIMD-style between configured bounds from the journal backlog and the
   observed drain rate;
 * the **restore** process applies ingested entries to the secondary
-  volumes *in sequence order*, pausing at entry boundaries whenever the
-  restore gate is closed (snapshot-group quiesce).
+  volumes *in sequence order*, in windows of up to ``restore_concurrency``
+  entries that each commit at one instant, pausing at window boundaries
+  while the restore gate is closed (snapshot-group quiesce).
 
 A **consistency group** is nothing more than several pairs sharing one
 journal group: one sequence counter ⇒ the backup cut is a prefix of the
@@ -44,7 +45,7 @@ ranges once the link is healthy.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Generator, List,
                     Optional, Tuple)
 
@@ -55,7 +56,6 @@ from zlib import crc32 as _crc32
 
 from repro.storage.journal import (JournalEntry, JournalFullError,
                                    JournalVolume)
-from repro.storage.lanes import lane_delay, lane_waits, partition_lanes
 from repro.storage.reduction import (DISABLED_REDUCTION, EncodedPayload,
                                      ReductionConfig, WireReducer)
 from repro.storage.replication import PairState, ReplicationPair
@@ -80,12 +80,10 @@ class AdcConfig:
     transfer_interval: float = 0.005
     transfer_batch: int = 512
     #: transfer batches kept in flight concurrently.  1 is the classic
-    #: stop-and-wait loop (ship a batch, wait out the full link RTT,
-    #: sleep, repeat); >1 pipelines: while batch N propagates, batches
-    #: N+1.. serialise behind it on the link's FIFO wire, hiding the
-    #: propagation latency.  Receive-side ingest stays strictly
-    #: in-order (shipments complete FIFO and are ingested head-first),
-    #: so coalesce/quarantine/trim semantics are unchanged.
+    #: stop-and-wait loop (sleep, ship a batch, wait out the full link
+    #: RTT, repeat); >1 pipelines: batches N+1.. serialise behind batch
+    #: N on the link's FIFO wire, hiding the propagation latency, while
+    #: receive-side ingest stays strictly in sequence order.
     transfer_window: int = 1
     #: AIMD batch sizing: grow the transfer batch additively while the
     #: journal backlog keeps batches full and the wire drains them
@@ -104,25 +102,15 @@ class AdcConfig:
     interval_jitter: float = 0.5
     #: journal appends land in array cache; far cheaper than media writes
     journal_append_latency: float = 0.00005
-    #: in-flight restore applies per window.  1 = strictly serial (every
-    #: instant is a prefix of the journal order); >1 overlaps media
-    #: writes of *non-conflicting* blocks — the prefix property then
-    #: holds at window boundaries, which is where quiesce/snapshot
-    #: operations synchronise anyway.  Real arrays restore with internal
+    #: restore applies per window.  1 = strictly serial (every instant
+    #: is a prefix of the journal order); >1 takes up to this many
+    #: entries as one window, coalesces same-(volume, block) conflicts
+    #: last-writer-wins, overlaps the media writes and commits the
+    #: whole window at one instant — the prefix property then holds at
+    #: window boundaries, which is where quiesce/snapshot operations
+    #: synchronise anyway.  Real arrays restore with internal
     #: parallelism like this; E8 sweeps the knob.
     restore_concurrency: int = 1
-    #: dependency-aware apply lanes for the restore/resync paths.  1 =
-    #: the classic applier: windows capped at ``restore_concurrency``
-    #: distinct addresses, one aggregated media wait per window
-    #: (byte-identical digests to before the knob existed).  >1 takes
-    #: the full ``restore_batch`` as one window, partitions it into
-    #: per-(volume, block)-conflict-free lanes (last-writer-wins per
-    #: address, the property the coalesce machinery already proves),
-    #: runs one aggregated media wait per lane as concurrent sim
-    #: processes, and commits every surviving install through a
-    #: consistency-cut barrier — snapshot groups, failover promote and
-    #: invariant checks always observe a window-boundary cut.
-    apply_lanes: int = 1
     #: verify entry CRC32s at transfer-receive and restore-apply.
     #: Disabling reproduces the silent-corruption baseline the chaos
     #: campaigns contrast against.
@@ -171,8 +159,6 @@ class AdcConfig:
             raise ValueError("batch_target_time must be > 0")
         if self.restore_concurrency < 1:
             raise ValueError("restore_concurrency must be >= 1")
-        if self.apply_lanes < 1:
-            raise ValueError("apply_lanes must be >= 1")
         if not 0 <= self.interval_jitter < 1:
             raise ValueError("interval_jitter must be in [0, 1)")
         if self.journal_append_latency < 0:
@@ -189,14 +175,14 @@ class AdcConfig:
 
 @dataclass
 class _Shipment:
-    """One in-flight transfer batch of the pipelined loop.
+    """One in-flight batch of the transfer loop.
 
     ``batch`` is the peeked journal window, ``ship`` the coalesced
     subset actually crossing the wire, ``survivor`` the coalesce map
-    (None when coalescing is off).  The shipment's transfer runs in its
-    own process (``proc``); a link failure mid-flight lands in
-    ``error`` instead of propagating, so the loop can join shipments
-    strictly head-first and keep the receive side in sequence order.
+    (None when coalescing is off).  ``proc`` is the shipment's own
+    process, or None when it ships inline.  A link failure mid-flight
+    lands in ``error`` instead of propagating, so the loop can join
+    shipments head-first and keep the receive side in sequence order.
     """
 
     batch: List[JournalEntry]
@@ -209,7 +195,7 @@ class _Shipment:
     encodings: Optional[List[EncodedPayload]] = None
     span: Optional[Span] = None
     proc: object = None
-    error: Optional[BaseException] = field(default=None)
+    error: Optional[BaseException] = None
     #: launch instant and whether the batch filled the current batch
     #: size (AIMD growth requires full batches)
     shipped_at: float = 0.0
@@ -335,23 +321,6 @@ class JournalGroup:
             help="Resync blocks whose (version, crc32) negotiation "
                  "proved the secondary current — they never crossed "
                  "the wire", group=group_id)
-        # lane instruments exist only when the lane applier is on, so
-        # default (apply_lanes=1) registries — and therefore chaos
-        # digests — stay byte-identical to the pre-lane applier
-        if adc.apply_lanes > 1:
-            self.restore_lanes_gauge = registry.gauge(
-                "repro_restore_lanes",
-                help="Dependency-aware apply lanes of the restore path",
-                unit="lanes", group=group_id)
-            self.lane_conflicts = registry.counter(
-                "repro_restore_lane_conflicts_total",
-                help="Same-(volume, block) conflicts coalesced "
-                     "last-writer-wins inside one restore window",
-                group=group_id)
-            self.restore_lanes_gauge.sample(sim.now, adc.apply_lanes)
-        else:
-            self.restore_lanes_gauge = None
-            self.lane_conflicts = None
         if adc.adaptive_batch:
             self.batch_size_gauge.sample(sim.now, self._batch_size)
 
@@ -409,15 +378,6 @@ class JournalGroup:
         del self._svol_by_pvol[pair.pvol.volume_id]
         return pair
 
-    def pair_for_pvol(self, volume_id: int) -> Optional[ReplicationPair]:
-        """The pair whose primary is ``volume_id``, if any."""
-        return self._pairs_by_pvol.get(volume_id)
-
-    @property
-    def member_pvol_ids(self) -> List[int]:
-        """Primary volume ids of all member pairs."""
-        return sorted(self._pairs_by_pvol)
-
     # -- host-write side -------------------------------------------------------
 
     def journal_append(self, volume_id: int, block: int, payload: bytes,
@@ -444,12 +404,7 @@ class JournalGroup:
                 volume=volume_id, block=block)
         if self.config.journal_append_latency > 0:
             yield self.sim.timeout(self.config.journal_append_latency)
-        if span is not None and span.trace_id is not None:
-            trace_id, span_id = span.trace_id, span.span_id
-        elif append_span is not None:
-            trace_id, span_id = append_span.trace_id, append_span.span_id
-        else:
-            trace_id = span_id = None
+        trace_id, span_id = self._trace_context(span, append_span)
         entry = self._append_entry(
             volume_id, block, payload, version,
             trace_id=trace_id, span_id=span_id, checksum=checksum)
@@ -482,12 +437,7 @@ class JournalGroup:
                 writes=len(writes))
         if self.config.journal_append_latency > 0:
             yield self.sim.timeout(self.config.journal_append_latency)
-        if span is not None and span.trace_id is not None:
-            trace_id, span_id = span.trace_id, span.span_id
-        elif append_span is not None:
-            trace_id, span_id = append_span.trace_id, append_span.span_id
-        else:
-            trace_id = span_id = None
+        trace_id, span_id = self._trace_context(span, append_span)
         protected = 0
         append_entry = self._append_entry
         for volume_id, block, payload, version, checksum in writes:
@@ -502,6 +452,17 @@ class JournalGroup:
                 status="ok" if protected == len(writes) else "unprotected",
                 protected=protected)
         return protected
+
+    @staticmethod
+    def _trace_context(span: Optional[Span], append_span: Optional[Span],
+                       ) -> Tuple[Optional[str], Optional[str]]:
+        """The trace context a journal entry carries across the site hop:
+        the originating span's when it has one, else the append span's."""
+        if span is not None and span.trace_id is not None:
+            return span.trace_id, span.span_id
+        if append_span is not None:
+            return append_span.trace_id, append_span.span_id
+        return None, None
 
     def _append_entry(self, volume_id: int, block: int, payload: bytes,
                       version: int, trace_id: Optional[str] = None,
@@ -636,12 +597,13 @@ class JournalGroup:
         resync_span = self.tracer.start("resync", group=self.group_id)
         self.recorder.record("resync", self.group_id, event="started")
         rejournaled = 0
-        # with apply_lanes > 1 the targeted-repair re-journal batches
-        # its append latency: `apply_lanes` appends ride one aggregated
-        # wait (the journal is cache-backed; the appends overlap the
-        # same way laned restore installs do).  lanes=1 pays one wait
-        # per append, exactly as before.
-        lanes = self.config.apply_lanes
+
+        def finish(status: str) -> None:
+            self.tracer.finish(resync_span, status=status,
+                               rejournaled=rejournaled)
+            self.recorder.record("resync", self.group_id, event="completed",
+                                 status=status, rejournaled=rejournaled)
+
         try:
             for pair in self.pairs.values():
                 pending = sorted(pair.take_dirty())
@@ -655,8 +617,7 @@ class JournalGroup:
                         # version, so it never re-crosses the wire
                         self.copy_skipped.increment()
                         continue
-                    if self.config.journal_append_latency > 0 \
-                            and rejournaled % lanes == 0:
+                    if self.config.journal_append_latency > 0:
                         yield self.sim.timeout(
                             self.config.journal_append_latency)
                     entry = self._append_entry(
@@ -671,24 +632,14 @@ class JournalGroup:
                         # consumed set must survive for the next attempt
                         for remaining in pending[index + 1:]:
                             pair.mark_dirty(*remaining)
-                        self.tracer.finish(resync_span, status="suspended",
-                                           rejournaled=rejournaled)
-                        self.recorder.record(
-                            "resync", self.group_id, event="completed",
-                            status="suspended", rejournaled=rejournaled)
+                        finish("suspended")
                         return
                     rejournaled += 1
                 pair.clear_suspension()
         except BaseException:
-            self.tracer.finish(resync_span, status="error",
-                               rejournaled=rejournaled)
-            self.recorder.record("resync", self.group_id,
-                                 event="completed", status="error",
-                                 rejournaled=rejournaled)
+            finish("error")
             raise
-        self.tracer.finish(resync_span, rejournaled=rejournaled)
-        self.recorder.record("resync", self.group_id, event="completed",
-                             status="ok", rejournaled=rejournaled)
+        finish("ok")
 
     # -- background pipeline ------------------------------------------------
 
@@ -731,12 +682,6 @@ class JournalGroup:
             return base
         return self.sim.rng.jitter(
             f"jg.{self.group_id}.{stream}", base, self.config.interval_jitter)
-
-    def _transfer_loop(self) -> Generator[object, object, None]:
-        if self.config.transfer_window > 1:
-            yield from self._transfer_loop_windowed()
-        else:
-            yield from self._transfer_loop_serial()
 
     @staticmethod
     def _coalesce_batch(batch: List[JournalEntry],
@@ -809,22 +754,14 @@ class JournalGroup:
             for entry in ship]
         return encodings, sum(e.wire_bytes for e in encodings)
 
-    def _receive_batch(self, batch: List[JournalEntry],
-                       ship: List[JournalEntry],
-                       survivor: Optional[Dict[Tuple[int, int], int]],
-                       batch_span: Optional[Span],
-                       encodings: Optional[List[EncodedPayload]] = None,
-                       payload_bytes: int = -1,
-                       ) -> str:
-        """Receive-side ingest of one transferred batch.
+    def _receive_batch(self, shipment: _Shipment) -> str:
+        """Receive-side ingest of one transferred shipment.
 
         Verifies each entry's CRC32 (quarantining on mismatch), ingests
         into the backup journal, trims the delivered prefix off the
-        main journal, and bumps the transfer counters.  Runs entirely
-        at one simulated instant (no yields), so the stop-and-wait and
-        pipelined loops share it without perturbing event order.
-        Returns the batch status: ``"ok"``, ``"integrity"`` or
-        ``"backup-full"``.
+        main journal, and bumps the transfer counters, all at one
+        simulated instant (no yields).  Returns the batch status:
+        ``"ok"``, ``"integrity"`` or ``"backup-full"``.
 
         With ``encodings`` (reduction on) each entry is first
         reconstructed from its wire form — compressed payloads actually
@@ -832,6 +769,9 @@ class JournalGroup:
         — so a bad resolution or decode genuinely fails the CRC32 check
         and quarantines like any other wire corruption.
         """
+        batch, ship, survivor = shipment.batch, shipment.ship, \
+            shipment.survivor
+        encodings, batch_span = shipment.encodings, shipment.span
         injector = self._wire_injector
         verify = self.config.verify_integrity
         if ship and survivor is None and encodings is None \
@@ -860,11 +800,7 @@ class JournalGroup:
                     self.transferred_sequence = max(
                         self.transferred_sequence, last)
                     self.transferred_count.increment(len(ship))
-                    if payload_bytes < 0:
-                        # the caller did not thread the encode-time sum
-                        payload_bytes = sum(
-                            len(entry.payload) + 64 for entry in ship)
-                    self.transfer_bytes.increment(payload_bytes)
+                    self.transfer_bytes.increment(shipment.payload_bytes)
                     self.transfer_batches.increment()
                     if batch_span is not None:
                         self.tracer.finish(batch_span, status="ok")
@@ -942,77 +878,12 @@ class JournalGroup:
             self.tracer.finish(batch_span, status=status)
         return status
 
-    def _transfer_loop_serial(self) -> Generator[object, object, None]:
-        """Stop-and-wait wire path (``transfer_window=1``): ship one
-        batch, wait out its full link delay, sleep, repeat."""
-        config = self.config
-        while self._running:
-            yield self.sim.timeout(
-                self._jittered(config.transfer_interval, "transfer"))
-            if not self._running:
-                return
-            if not self._transfer_enabled:
-                return
-            if self.suspended or not self.link.is_up:
-                if not self.link.is_up:
-                    # even an idle link-down voids the caches: the
-                    # sender cannot prove the receiver survived it
-                    self.reducer.invalidate()
-                continue
-            batch = self.main_journal.peek_batch(self._batch_size) \
-                if len(self.main_journal) else []
-            if not batch:
-                # idle: keep the lag gauges fresh, but at a bounded
-                # cadence so long idle soaks don't accumulate one
-                # redundant sample per wake-up
-                if self.sim.now - self._lag_sampled_at \
-                        >= config.idle_lag_sample_interval:
-                    self._sample_lag()
-                continue
-            if config.coalesce_overwrites and len(batch) > 1:
-                ship, survivor = self._coalesce_batch(batch)
-                if len(ship) < len(batch):
-                    self.coalesced_count.increment(len(batch) - len(ship))
-            else:
-                survivor = None
-                ship = batch
-            encodings, payload_bytes = self._encode_ship(ship)
-            tracer = self.tracer
-            batch_span = None
-            if tracer.enabled:
-                batch_span = tracer.start(
-                    "transfer-batch", group=self.group_id,
-                    entries=len(ship), bytes=payload_bytes,
-                    coalesced=len(batch) - len(ship),
-                    first_sequence=ship[0].sequence,
-                    last_sequence=ship[-1].sequence)
-            full = len(batch) >= self._batch_size
-            shipped_at = self.sim.now
-            try:
-                yield from self.link.transfer(payload_bytes)
-            except LinkDownError:
-                if batch_span is not None:
-                    tracer.finish(batch_span, status="link-down")
-                # after a mid-flight link failure the sender can no
-                # longer prove the receiver's cache state: re-warm
-                self.reducer.discard()
-                self.reducer.invalidate()
-                self._adapt_batch(False, full, self.sim.now - shipped_at,
-                                  len(self.main_journal))
-                continue  # entries stay journaled; retried next wake-up
-            status = self._receive_batch(batch, ship, survivor, batch_span,
-                                         encodings, payload_bytes)
-            self._adapt_batch(status == "ok", full,
-                              self.sim.now - shipped_at,
-                              len(self.main_journal))
-            self._sample_lag()
-
     def _ship(self, shipment: _Shipment,
               ) -> Generator[object, object, None]:
-        """One in-flight shipment's wire transfer (its own process).
+        """One shipment's wire transfer (inline or its own process).
 
         A link failure mid-flight is captured on the shipment instead
-        of propagating, so the pipelined loop can join shipments
+        of propagating, so the transfer loop can join shipments
         head-first and decide what the failure voids.
         """
         try:
@@ -1020,8 +891,10 @@ class JournalGroup:
         except LinkDownError as exc:
             shipment.error = exc
 
-    def _launch_shipment(self, batch: List[JournalEntry]) -> _Shipment:
-        """Coalesce, trace and launch one batch onto the wire."""
+    def _launch_shipment(self, batch: List[JournalEntry],
+                         spawn: bool) -> _Shipment:
+        """Coalesce, trace and launch one batch onto the wire — in its
+        own process with ``spawn``, else for the caller to ship inline."""
         if self.config.coalesce_overwrites and len(batch) > 1:
             ship, survivor = self._coalesce_batch(batch)
             if len(ship) < len(batch):
@@ -1043,44 +916,38 @@ class JournalGroup:
             payload_bytes=payload_bytes, encodings=encodings, span=span,
             shipped_at=self.sim.now,
             full=len(batch) >= self._batch_size)
-        shipment.proc = self.sim.spawn(
-            self._ship(shipment),
-            name=f"jg-{self.group_id}.ship-{batch[0].sequence}")
+        if spawn:
+            shipment.proc = self.sim.spawn(
+                self._ship(shipment),
+                name=f"jg-{self.group_id}.ship-{batch[0].sequence}")
         return shipment
 
-    def _transfer_loop_windowed(self) -> Generator[object, object, None]:
-        """Pipelined wire path: up to ``transfer_window`` batches in
-        flight concurrently.
+    def _transfer_loop(self) -> Generator[object, object, None]:
+        """The wire path: up to ``transfer_window`` batches in flight.
 
-        Shipments serialise FIFO on the link's shared-bandwidth queue
-        and are joined strictly head-first, so the receive side ingests
-        in sequence order exactly like stop-and-wait — while batch N
-        propagates, batches N+1.. are already serialising behind it,
-        hiding the link latency.  Entries are only trimmed from the
-        main journal when their shipment is received, so on any failure
-        (link down under the head shipment, quarantine, backup-journal
-        overflow) every later in-flight shipment is simply discarded:
-        its entries are still journaled and re-ship once the pipeline
-        is healthy.  Payload already on the wire when that happens is
-        wasted bandwidth, exactly like a real retransmit.
+        The loop sleeps ``transfer_interval`` only while nothing is in
+        flight.  A batch launched into an empty pipeline ships inline;
+        batches 2..W behind it run as their own processes, serialising
+        FIFO on the link's shared-bandwidth queue and hiding the
+        propagation latency.  ``transfer_window=1`` is thus the classic
+        stop-and-wait loop: sleep, ship one batch, wait out its link
+        delay, repeat.  Shipments are joined head-first, so ingest stays
+        in sequence order.  Entries are trimmed from the main journal
+        only when received, so on any failure (link down under the
+        head, quarantine, backup-journal overflow) the in-flight
+        shipments behind it are simply discarded and re-ship once the
+        pipeline is healthy — wasted bandwidth, like a real retransmit.
         """
         config = self.config
         inflight: Deque[_Shipment] = deque()
         covered = 0  # journal entries held by in-flight shipments
         last_done: Optional[float] = None
         while self._running:
-            if not self._transfer_enabled:
-                return
-            if not self.suspended and self.link.is_up:
-                while len(inflight) < config.transfer_window and \
-                        len(self.main_journal) > covered:
-                    batch = self.main_journal.peek_batch(
-                        self._batch_size, offset=covered)
-                    if not batch:
-                        break
-                    inflight.append(self._launch_shipment(batch))
-                    covered += len(batch)
-            if not inflight:
+            if inflight:
+                if not self._transfer_enabled:
+                    return
+                launch = not self.suspended and self.link.is_up
+            else:
                 last_done = None
                 yield self.sim.timeout(
                     self._jittered(config.transfer_interval, "transfer"))
@@ -1088,17 +955,32 @@ class JournalGroup:
                     return
                 if self.suspended or not self.link.is_up:
                     if not self.link.is_up:
-                        # idle link-down voids the caches (see the
-                        # serial loop)
+                        # even an idle link-down voids the caches: the
+                        # sender cannot prove the receiver survived it
                         self.reducer.invalidate()
                     continue
-                if not len(self.main_journal) and \
-                        self.sim.now - self._lag_sampled_at \
-                        >= config.idle_lag_sample_interval:
-                    self._sample_lag()
-                continue
+                if not len(self.main_journal):
+                    # idle: keep the lag gauges fresh at a bounded
+                    # cadence (no redundant sample per idle wake-up)
+                    if self.sim.now - self._lag_sampled_at \
+                            >= config.idle_lag_sample_interval:
+                        self._sample_lag()
+                    continue
+                launch = True
+            while launch and len(inflight) < config.transfer_window and \
+                    len(self.main_journal) > covered:
+                batch = self.main_journal.peek_batch(
+                    self._batch_size, offset=covered)
+                if not batch:
+                    break
+                inflight.append(self._launch_shipment(
+                    batch, spawn=bool(inflight)))
+                covered += len(batch)
             head = inflight.popleft()
-            yield head.proc  # join: fires when the batch lands
+            if head.proc is None:
+                yield from self._ship(head)
+            else:
+                yield head.proc  # join: fires when the batch lands
             covered -= len(head.batch)
             if head.error is not None:
                 if head.span is not None:
@@ -1109,14 +991,11 @@ class JournalGroup:
                 self.reducer.invalidate()
                 status = "link-down"
             else:
-                status = self._receive_batch(
-                    head.batch, head.ship, head.survivor, head.span,
-                    head.encodings, head.payload_bytes)
+                status = self._receive_batch(head)
             # AIMD feeds on the gap between head completions: in a
             # full pipeline that gap is the batch's serialisation
             # time, the actual per-batch drain rate of the wire
-            since = last_done if last_done is not None \
-                else head.shipped_at
+            since = head.shipped_at if last_done is None else last_done
             last_done = self.sim.now
             self._adapt_batch(status == "ok", head.full,
                               self.sim.now - since,
@@ -1135,12 +1014,12 @@ class JournalGroup:
                 inflight.clear()
                 covered = 0
                 last_done = None
-            self._sample_lag()
+            if status != "link-down":
+                self._sample_lag()
 
     def _restore_loop(self) -> Generator[object, object, None]:
         config = self.config
         gate = self.restore_gate
-        laned = config.apply_lanes > 1
         while self._running:
             yield self.sim.timeout(
                 self._jittered(config.restore_interval, "restore"))
@@ -1152,22 +1031,14 @@ class JournalGroup:
                     return
                 if not gate.is_open:
                     yield gate.wait()
-                if laned:
-                    # the lane applier needs no distinct-address cap:
-                    # conflicts coalesce last-writer-wins per address
-                    window = self.backup_journal.peek_batch(
-                        config.restore_batch - applied)
-                else:
-                    window = self._pick_restore_window(
-                        config.restore_batch - applied)
+                window = self.backup_journal.peek_batch(
+                    min(config.restore_concurrency,
+                        config.restore_batch - applied))
                 if not window:
                     break
                 self.applying = True
                 try:
-                    if laned:
-                        yield from self._apply_window_laned(window)
-                    else:
-                        yield from self._apply_window(window)
+                    yield from self._apply_window(window)
                     self.backup_journal.pop_through(window[-1].sequence)
                     self.restored_sequence = window[-1].sequence
                 finally:
@@ -1175,28 +1046,6 @@ class JournalGroup:
                 self.restored_count.increment(len(window))
                 self._update_copy_states()
                 applied += len(window)
-
-    def _pick_restore_window(self, limit: int) -> List[JournalEntry]:
-        """Contiguous journal entries safe to apply concurrently.
-
-        The window extends while entries touch distinct (volume, block)
-        addresses, so per-block ordering is preserved even though the
-        media writes overlap.  Window size is additionally capped by
-        ``restore_concurrency`` and the remaining batch budget.
-        """
-        if not len(self.backup_journal):
-            return []
-        cap = min(self.config.restore_concurrency, max(limit, 1))
-        candidates = self.backup_journal.peek_batch(cap)
-        window: List[JournalEntry] = []
-        touched = set()
-        for entry in candidates:
-            address = (entry.volume_id, entry.block)
-            if address in touched:
-                break
-            touched.add(address)
-            window.append(entry)
-        return window
 
     def _verify_at_apply(self) -> bool:
         """Whether restore-apply must re-verify entry checksums.
@@ -1217,22 +1066,24 @@ class JournalGroup:
 
     def _apply_window(self, window: List[JournalEntry],
                       ) -> Generator[object, object, None]:
-        """Apply a non-conflicting window with one aggregated media wait.
+        """Apply one restore window and commit it at a single instant.
 
-        Semantically equivalent to overlapping one apply process per
-        entry: the media writes proceed in parallel on distinct blocks,
-        so the window's simulated elapsed time is the *max* of the
-        per-entry apply costs (copy-on-write preservation plus the
-        write), after which every surviving payload installs.  Unlike
-        the per-entry fan-out this allocates no processes, no join
-        events and — when tracing is off — no spans.
+        One pass in sequence order makes the per-entry decisions of a
+        one-by-one apply — integrity quarantine, pair-deleted skip,
+        stale-version skip — and coalesces same-(volume, block)
+        conflicts last-writer-wins.
+        The surviving media writes overlap, so the window waits once,
+        for the *max* of their apply costs (copy-on-write preservation
+        plus the write), then installs everything at that instant:
+        every observable image (snapshot-group creation, failover
+        promote, invariant checks) is a window-boundary cut of the
+        journal order.
         """
         tracer = self.tracer
         tracing = tracer.enabled
         verify = self._verify_at_apply()
         svols = self._svol_by_pvol
-        delay = 0.0
-        installs = []
+        surviving: Dict[Tuple[int, int], tuple] = {}
         for entry in window:
             # the restore-apply span parents to the *originating* span
             # that journaled the entry (host-write / initial-copy /
@@ -1261,17 +1112,26 @@ class JournalGroup:
                     tracer.finish(span, status="skipped", applied=False,
                                   reason="pair deleted")
                 continue
-            current = svol.peek(entry.block)
+            address = (entry.volume_id, entry.block)
+            pending = surviving.get(address)
+            current = pending[1] if pending is not None \
+                else svol.peek(entry.block)
             if current is not None and current.version >= entry.version:
-                # already applied (resync overlap)
+                # already applied, by the media or earlier in this window
                 if span is not None:
                     tracer.finish(span, status="skipped", applied=False,
                                   reason="stale version")
                 continue
-            cost = svol.apply_delay(entry.block)
-            if cost > delay:
-                delay = cost
-            installs.append((svol, entry, span))
+            if pending is not None:
+                del surviving[address]
+                if pending[2] is not None:
+                    tracer.finish(pending[2], status="coalesced",
+                                  applied=False,
+                                  reason="superseded in window")
+            surviving[address] = (svol, entry, span)
+        installs = surviving.values()
+        delay = max((svol.apply_delay(entry.block)
+                     for svol, entry, _span in installs), default=0.0)
         if delay > 0:
             yield self.sim.timeout(delay)
         for svol, entry, span in installs:
@@ -1279,115 +1139,6 @@ class JournalGroup:
                                checksum=entry.checksum)
             if span is not None:
                 tracer.finish(span, applied=True)
-
-    def _apply_window_laned(self, window: List[JournalEntry],
-                            ) -> Generator[object, object, None]:
-        """Dependency-aware lane apply with a consistency-cut barrier.
-
-        One pass in sequence order runs exactly the serial applier's
-        per-entry decisions — integrity quarantine, pair-deleted skip,
-        stale-version skip — then coalesces same-(volume, block)
-        conflicts last-writer-wins (safe for the same reason wire
-        coalescing is: the survivor is by construction the newest write
-        of its address, and versions per address are monotone in
-        sequence order).  The surviving installs partition round-robin
-        into conflict-free lanes; each lane's media waits aggregate
-        into one concurrent wait, and the join of all lanes is the
-        consistency-cut barrier — nothing installs until every lane's
-        media time has elapsed, so the commit lands at one simulated
-        instant and every externally observable image (snapshot-group
-        creation, failover promote, invariant checks, restore-point
-        queries) is a window-boundary cut, exactly as with the serial
-        applier.
-        """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        verify = self._verify_at_apply()
-        svols = self._svol_by_pvol
-        conflicts = 0
-        surviving: Dict[Tuple[int, int], tuple] = {}
-        if not tracing and not verify:
-            # span-free, verify-free variant of the loop below: the
-            # clean drain's hot path, with no per-entry span objects,
-            # no superseded-span bookkeeping (a plain dict overwrite
-            # coalesces) and the conflict count derived at the end
-            svols_get = svols.get
-            accepted = 0
-            for entry in window:
-                svol = svols_get(entry.volume_id)
-                if svol is None:
-                    continue
-                current = svol.peek(entry.block)
-                if current is not None and \
-                        current.version >= entry.version:
-                    continue
-                accepted += 1
-                surviving[(entry.volume_id, entry.block)] = \
-                    (svol, entry, None)
-            conflicts = accepted - len(surviving)
-        else:
-            for entry in window:
-                span = None
-                if tracing:
-                    span = tracer.start(
-                        "restore-apply", trace_id=entry.trace_id,
-                        parent_id=entry.span_id, group=self.group_id,
-                        volume=entry.volume_id, block=entry.block,
-                        sequence=entry.sequence, version=entry.version)
-                if verify and not entry.verify_checksum():
-                    self._quarantine_entry(entry, where="journal")
-                    if span is not None:
-                        tracer.finish(span, status="integrity",
-                                      applied=False,
-                                      reason="checksum mismatch")
-                    continue
-                svol = svols.get(entry.volume_id)
-                if svol is None:
-                    if span is not None:
-                        tracer.finish(span, status="skipped",
-                                      applied=False,
-                                      reason="pair deleted")
-                    continue
-                current = svol.peek(entry.block)
-                if current is not None and \
-                        current.version >= entry.version:
-                    if span is not None:
-                        tracer.finish(span, status="skipped",
-                                      applied=False,
-                                      reason="stale version")
-                    continue
-                address = (entry.volume_id, entry.block)
-                superseded = surviving.pop(address, None)
-                if superseded is not None:
-                    conflicts += 1
-                    if superseded[2] is not None:
-                        tracer.finish(superseded[2], status="coalesced",
-                                      applied=False,
-                                      reason="superseded in window")
-                surviving[address] = (svol, entry, span)
-        if conflicts and self.lane_conflicts is not None:
-            self.lane_conflicts.increment(conflicts)
-        installs = list(surviving.values())
-        if installs:
-            lanes = partition_lanes(installs, self.config.apply_lanes)
-            delays = [lane_delay(svol.apply_delay(entry.block)
-                                 for svol, entry, _span in lane)
-                      for lane in lanes]
-            yield from lane_waits(self.sim, delays,
-                                  name=f"jg-{self.group_id}.restore")
-        # the barrier has closed: commit every lane's surviving install
-        # at this one instant
-        for svol, entry, span in installs:
-            svol.install_block(entry.block, entry.payload, entry.version,
-                               checksum=entry.checksum)
-            if span is not None:
-                tracer.finish(span, applied=True)
-
-    def _apply_entry(self, entry: JournalEntry,
-                     ) -> Generator[object, object, None]:
-        """Single-entry apply (failover drain path); same semantics as a
-        size-1 :meth:`_apply_window` but pays the media wait inline."""
-        yield from self._apply_window([entry])
 
     def _update_copy_states(self) -> None:
         for pair in self.pairs.values():
@@ -1426,7 +1177,7 @@ class JournalGroup:
         drain_span = self.tracer.start("journal-drain", group=self.group_id)
         applied = 0
         for entry in self.backup_journal.snapshot_entries():
-            yield from self._apply_entry(entry)
+            yield from self._apply_window([entry])
             self.backup_journal.pop_through(entry.sequence)
             self.restored_sequence = entry.sequence
             self.restored_count.increment()

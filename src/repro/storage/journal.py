@@ -140,11 +140,6 @@ class JournalVolume:
     def __len__(self) -> int:
         return len(self._ring) - self._head
 
-    @property
-    def free_entries(self) -> int:
-        """Remaining capacity in entries."""
-        return self.capacity_entries - len(self)
-
     def append(self, volume_id: int, block: int, payload: bytes,
                version: int, time: float,
                trace_id: Optional[str] = None,

@@ -36,11 +36,6 @@ class PairState(enum.Enum):
     PSUE = "PSUE"
     SSWS = "SSWS"
 
-    @property
-    def protects_data(self) -> bool:
-        """True while new writes are being propagated to the backup."""
-        return self in (PairState.COPY, PairState.PAIR)
-
 
 class CopyMode(enum.Enum):
     """Replication technology of a pair."""

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 from repro.errors import ReplicationError
 from repro.simulation.network import LinkDownError, NetworkLink
 from repro.simulation.resources import Lock
-from repro.storage.lanes import lane_delay, lane_waits
 from repro.storage.reduction import (DISABLED_REDUCTION, ReductionConfig,
                                      WireReducer)
 from repro.storage.replication import PairState, ReplicationPair
@@ -54,18 +53,10 @@ class SdcConfig:
     #: the bulk copy / resync payload transfers; off by default — the
     #: wire then carries every stale block verbatim, exactly as before
     reduction: ReductionConfig = DISABLED_REDUCTION
-    #: dependency-aware apply lanes for the bulk-copy install phase
-    #: (same scheduler as the ADC restore applier).  1 = one media
-    #: wait per chunk, exactly as before; >1 stages up to this many
-    #: chunks and overlaps their media installs as concurrent lanes
-    #: committed through one consistency-cut barrier.
-    apply_lanes: int = 1
 
     def __post_init__(self) -> None:
         if self.block_size_bytes < 1:
             raise ValueError("block_size_bytes must be >= 1")
-        if self.apply_lanes < 1:
-            raise ValueError("apply_lanes must be >= 1")
         if self.fence_level not in ("never", "data"):
             raise ValueError(
                 f"fence_level must be 'never' or 'data': {self.fence_level}")
@@ -145,15 +136,6 @@ class SyncMirror:
         del self._pair_locks[pair_id]
         return pair
 
-    def pair_for_pvol(self, volume_id: int) -> Optional[ReplicationPair]:
-        """The pair whose primary is ``volume_id``, if any."""
-        return self._pairs_by_pvol.get(volume_id)
-
-    @property
-    def member_pvol_ids(self) -> List[int]:
-        """Primary volume ids of all member pairs."""
-        return sorted(self._pairs_by_pvol)
-
     # -- data path ----------------------------------------------------------
 
     def _bulk_copy(self, pair: ReplicationPair,
@@ -175,48 +157,10 @@ class SyncMirror:
         payloads), the installed bytes are the actual receive-side
         reconstruction, and ``path`` labels the wire-byte accounting
         (``"copy"`` for initial copy, ``"resync"`` for resync).
-
-        With ``apply_lanes > 1`` the install phases of up to that many
-        chunks stage as conflict-free lanes (blocks within one
-        ``_bulk_copy`` call are distinct) and commit together through
-        the shared lane scheduler's consistency-cut barrier: one
-        aggregated media wait per staged chunk, run concurrently, then
-        every staged block installs at one instant.  ``apply_lanes=1``
-        commits after every chunk, exactly as before.
         """
         config = self.config
         svol = pair.svol
         reducer = self.reducer
-        #: completed chunks whose media installs await the next barrier
-        staged: List[List[tuple]] = []
-
-        def commit() -> Generator[object, object, None]:
-            # a concurrent replicate_write may have raced a newer
-            # version in while the payload was on the wire or staged;
-            # re-check before applying, exactly like the per-block
-            # path did
-            lanes: List[List[tuple]] = []
-            delays: List[float] = []
-            for group in staged:
-                installs = [
-                    (block, payload, value)
-                    for block, payload, value in group
-                    if not pair.secondary_current(block, value.version)]
-                if not installs:
-                    continue
-                lanes.append(installs)
-                delays.append(lane_delay(
-                    svol.apply_delay(block)
-                    for block, _payload, _value in installs))
-            staged.clear()
-            yield from lane_waits(self.sim, delays,
-                                  name=f"sdc-{pair.pair_id}.{path}")
-            for installs in lanes:
-                for block, payload, value in installs:
-                    svol.install_block(block, payload,
-                                       version=value.version,
-                                       checksum=value.checksum)
-
         for start in range(0, len(items), config.copy_batch_blocks):
             chunk = items[start:start + config.copy_batch_blocks]
             # negotiation round trip: metadata out, verdict back
@@ -224,10 +168,6 @@ class SyncMirror:
             try:
                 yield from self.link.transfer(negotiate_bytes)
             except LinkDownError:
-                # payloads already staged did land; install them before
-                # surfacing the failure (the per-chunk path had them
-                # installed already)
-                yield from commit()
                 reducer.invalidate()
                 raise
             if reducer.enabled:
@@ -258,7 +198,6 @@ class SyncMirror:
             except LinkDownError:
                 # the shipment never landed: nothing was committed, but
                 # the sender can no longer prove the receiver's state
-                yield from commit()
                 reducer.discard()
                 reducer.invalidate()
                 raise
@@ -273,11 +212,19 @@ class SyncMirror:
                 reducer.account(path, encodings)
             else:
                 received = {block: value.payload for block, value in stale}
-            staged.append([(block, received[block], value)
-                           for block, value in stale])
-            if len(staged) >= config.apply_lanes:
-                yield from commit()
-        yield from commit()
+            # a concurrent replicate_write may have raced a newer
+            # version in while the payload was on the wire; re-check
+            # before applying
+            installs = [(block, value) for block, value in stale
+                        if not pair.secondary_current(block, value.version)]
+            delay = max((svol.apply_delay(block) for block, _ in installs),
+                        default=0.0)
+            if delay > 0:
+                yield self.sim.timeout(delay)
+            for block, value in installs:
+                svol.install_block(block, received[block],
+                                   version=value.version,
+                                   checksum=value.checksum)
 
     def initial_copy(self, pair_id: str) -> Generator[object, object, None]:
         """Copy the current P-VOL content to the S-VOL over the link.

@@ -19,7 +19,7 @@ experiment E4 demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import SnapshotError
 from repro.storage.journal import payload_checksum
@@ -228,8 +228,3 @@ class SnapshotGroup:
         """base volume id → (block → frozen version), for the checker."""
         return {snap.base.volume_id: snap.frozen_version_map()
                 for snap in self.snapshots}
-
-
-def pair_key(volume_id: int, block: int) -> Tuple[int, int]:
-    """Canonical dictionary key for (volume, block) addressing."""
-    return (volume_id, block)

@@ -122,20 +122,20 @@ class TestPipelinedCampaign:
 
 
 class TestLanedCampaign:
-    """The quick storm with dependency-aware restore apply lanes.
+    """The quick storm with windowed parallel restore.
 
-    The lane scheduler sits under exactly the machinery chaos
-    stresses — quarantined entries mid-window, partitions between
-    windows, targeted repair resync — so the full quick campaign must
-    hold with ``apply_lanes=4`` just as it does serially, stay
-    seed-deterministic, and export the lane counters.
+    Restore windows sit under exactly the machinery chaos stresses —
+    quarantined entries mid-window, partitions between windows,
+    targeted repair resync — so the full quick campaign must hold with
+    ``restore_concurrency=4`` just as it does serially and stay
+    seed-deterministic.
     """
 
     @pytest.fixture(scope="class")
     def report(self):
         return run_campaign(
             seed=7, preset="quick",
-            adc_overrides=dict(apply_lanes=4))
+            adc_overrides=dict(restore_concurrency=4))
 
     def test_passes_end_to_end(self, report):
         assert report.passed
@@ -152,21 +152,12 @@ class TestLanedCampaign:
         assert report.counters["corrupted_payloads_injected"] >= 1
         assert detections(report) >= 1
 
-    def test_lane_counters_exported(self, report):
-        assert report.counters["restore_lanes"] == 4
-        assert report.counters["restore_lane_conflicts_total"] >= 0
-
     def test_laned_run_is_deterministic(self, report):
         again = run_campaign(seed=7, preset="quick",
-                             adc_overrides=dict(apply_lanes=4))
+                             adc_overrides=dict(restore_concurrency=4))
         assert again.digest == report.digest
         assert again.timeline == report.timeline
         assert again.counters == report.counters
-
-    def test_serial_report_has_no_lane_counters(self):
-        serial = run_campaign(seed=7, preset="quick")
-        assert "restore_lanes" not in serial.counters
-        assert "restore_lane_conflicts_total" not in serial.counters
 
 
 class TestDeterminism:

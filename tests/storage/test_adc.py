@@ -174,21 +174,37 @@ class TestConcurrentRestore:
         sim.run(until=sim.now + 1.0)
         assert svol.block_map() == pvol.block_map()
 
-    def test_restore_window_stops_at_block_conflict(self, sim, two_site):
-        from repro.storage import AdcConfig, JournalGroup, JournalVolume
-        mj = JournalVolume(1, 100)
-        bj = JournalVolume(2, 100)
-        from repro.simulation import NetworkLink
-        group = JournalGroup(sim, "w", mj, bj,
-                             NetworkLink(sim, latency=0.001),
-                             config=AdcConfig(restore_concurrency=8,
-                                              interval_jitter=0.0))
-        # ingest entries: blocks 0,1,0 -> window must stop before the
-        # second write to block 0
-        for seq, block in enumerate((0, 1, 0)):
-            bj.ingest(mj.append(1, block, b"x", seq + 1, time=0.0))
-        window = group._pick_restore_window(100)
-        assert [e.block for e in window] == [0, 1]
+    def test_restore_window_coalesces_block_conflict(self):
+        """Blocks [0, 1, 0] in one concurrency-8 window: the second
+        write to block 0 supersedes the first last-writer-wins, so the
+        window installs only the newest value of block 0 — together
+        with block 1, after exactly one media wait."""
+        site = build_two_site(Simulator(seed=7), adc=fast_adc(
+            restore_concurrency=8, restore_interval=0.01))
+        sim = site.sim
+        pvol, svol = make_async_pair(site, blocks=16)
+        installs = []
+        install_block = svol.install_block
+
+        def recording_install(block, payload, *args, **kwargs):
+            installs.append((sim.now, block, payload))
+            return install_block(block, payload, *args, **kwargs)
+
+        svol.install_block = recording_install
+        # one host-write batch journals blocks 0, 1, 0; it ships in one
+        # transfer batch and reaches the backup journal before the
+        # restore loop's first wake-up at t=0.01
+        run(sim, site.main.host_write_many(
+            [(pvol.volume_id, 0, b"old"), (pvol.volume_id, 1, b"one"),
+             (pvol.volume_id, 0, b"new")]))
+        sim.run(until=0.05)
+        assert sorted((block, payload) for _at, block, payload
+                      in installs) == [(0, b"new"), (1, b"one")]
+        instants = {at for at, _block, _payload in installs}
+        assert len(instants) == 1
+        assert instants.pop() == pytest.approx(
+            0.01 + svol.media.write_latency)
+        assert svol.peek(0).payload == b"new"
 
     def test_restore_concurrency_validation(self):
         from repro.storage import AdcConfig

@@ -1,28 +1,29 @@
-"""Dependency-aware parallel restore lanes: equivalence properties.
+"""Windowed parallel restore: equivalence properties.
 
-The contract under test: turning on restore apply lanes
-(``AdcConfig.apply_lanes > 1``) may only change *when* the media waits
-overlap — never the converged backup image, the RPO accounting
+The contract under test: widening the restore window
+(``AdcConfig.restore_concurrency > 1``) may only change *when* the media
+waits overlap — never the converged backup image, the RPO accounting
 (``restored_count`` / ``restored_sequence``), or any quiesced snapshot
-view.  Because the lane barrier commits every window at one instant,
-each quiesced snapshot is a window-boundary consistency cut: its image
-must equal replaying the journaled write stream up to the snapshot's
-``group_sequence`` with last-writer-wins per block.  Lanes 1 must
-behave exactly like the historical serial applier.
+view.  Because every window commits at one instant, each quiesced
+snapshot is a window-boundary consistency cut: its image must equal
+replaying the journaled write stream up to the snapshot's
+``group_sequence`` with last-writer-wins per block.  Concurrency 1 is
+the strictly serial applier.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import NetworkLink, Simulator
-from repro.storage import AdcConfig, ArrayConfig, StorageArray
-from repro.storage.lanes import lane_delay, lane_waits, partition_lanes
+from repro.storage import ArrayConfig, StorageArray
 from tests.storage.conftest import fast_adc
 
-#: lane counts the equivalence properties sweep: serial, barely
-#: parallel, deeply parallel
-LANES = (1, 2, 8)
+#: restore batch of the pipeline under test
+RESTORE_BATCH = 16
+
+#: restore concurrencies the equivalence properties sweep: serial,
+#: barely parallel, deeply parallel, and whole-batch windows
+CONCURRENCY = (1, 2, 8, RESTORE_BATCH)
 
 write_plan = st.lists(
     st.tuples(st.integers(0, 1),                  # volume index
@@ -34,13 +35,14 @@ cut_times = st.lists(st.floats(0.004, 0.08), min_size=0, max_size=3,
                      unique=True)
 
 
-def build_laned_pair(seed, lanes, volumes=2, blocks=64):
+def build_pair(seed, concurrency, volumes=2, blocks=64):
     """Two async pairs in one journal group over a bandwidth-bound link
     with small transfer/restore batches, so restore runs in several
     windows and mid-stream cuts land between them."""
     sim = Simulator(seed=seed)
-    adc = fast_adc(apply_lanes=lanes, transfer_batch=8, restore_batch=8,
-                   transfer_interval=0.004, restore_interval=0.001)
+    adc = fast_adc(restore_concurrency=concurrency, transfer_batch=8,
+                   restore_batch=RESTORE_BATCH, transfer_interval=0.004,
+                   restore_interval=0.001)
     config = ArrayConfig(adc=adc)
     main = StorageArray(sim, serial="M", config=config)
     backup = StorageArray(sim, serial="B", config=config)
@@ -101,13 +103,13 @@ def oracle_views(plan, volume_ids, cut_sequence):
     return images, versions
 
 
-def run_plan(lanes, plan, cuts=(), seed=17, fault=None):
-    """Apply ``plan`` through a two-pair group at ``lanes``; returns
+def run_plan(concurrency, plan, cuts=(), seed=17, fault=None):
+    """Apply ``plan`` through a two-pair group at ``concurrency``; returns
     the converged backup/primary images, the group, and one
     ``(group_sequence, {svol_id: (image, frozen_versions)})`` record
     per mid-stream quiesced snapshot cut."""
-    sim, main, backup, group, link, pvols, svols = build_laned_pair(
-        seed, lanes)
+    sim, main, backup, group, link, pvols, svols = build_pair(
+        seed, concurrency)
     svol_ids = [svol.volume_id for svol in svols]
 
     def writer():
@@ -157,16 +159,19 @@ def check_cuts(plan, svol_ids, cut_views):
 
 
 class TestLaneEquivalence:
+    """A lane is one concurrent apply slot of a restore window: the
+    properties sweep ``restore_concurrency`` over :data:`CONCURRENCY`."""
+
     @given(plan=write_plan, cuts=cut_times)
     @settings(max_examples=20, deadline=None)
     def test_any_lane_count_converges_to_the_same_image(self, plan, cuts):
-        """Laned == serial for any clean write stream: the backup
+        """Windowed == serial for any clean write stream: the backup
         images, the RPO accounting, and every mid-stream quiesced
         snapshot cut all match the serial applier."""
         baseline = None
-        for lanes in LANES:
+        for concurrency in CONCURRENCY:
             backup_images, primary_images, group, cut_views, svol_ids = \
-                run_plan(lanes, plan, cuts=cuts)
+                run_plan(concurrency, plan, cuts=cuts)
             for svol_id, pvol_image in zip(svol_ids, primary_images):
                 assert backup_images[svol_id] == pvol_image
             check_cuts(plan, svol_ids, cut_views)
@@ -176,8 +181,9 @@ class TestLaneEquivalence:
             if baseline is None:
                 baseline = (backup_images, accounting)
             else:
-                assert backup_images == baseline[0], f"lanes={lanes}"
-                assert accounting == baseline[1], f"lanes={lanes}"
+                label = f"concurrency={concurrency}"
+                assert backup_images == baseline[0], label
+                assert accounting == baseline[1], label
 
     @given(plan=write_plan, cuts=cut_times,
            fail_at=st.floats(0.001, 0.05), outage=st.floats(0.01, 0.1))
@@ -185,7 +191,7 @@ class TestLaneEquivalence:
     def test_link_flap_mid_window_converges_identically(
             self, plan, cuts, fail_at, outage):
         """A partition that kills in-flight shipments mid-window must
-        discard and re-ship without reordering: every lane count
+        discard and re-ship without reordering: every concurrency
         converges to the primary's image with identical accounting,
         and every cut taken during the storm is still a clean prefix."""
         def flap(sim, group, link):
@@ -197,9 +203,9 @@ class TestLaneEquivalence:
             sim.spawn(chaos())
 
         baseline = None
-        for lanes in LANES:
+        for concurrency in CONCURRENCY:
             backup_images, primary_images, group, cut_views, svol_ids = \
-                run_plan(lanes, plan, cuts=cuts, fault=flap)
+                run_plan(concurrency, plan, cuts=cuts, fault=flap)
             for svol_id, pvol_image in zip(svol_ids, primary_images):
                 assert backup_images[svol_id] == pvol_image
             check_cuts(plan, svol_ids, cut_views)
@@ -208,81 +214,6 @@ class TestLaneEquivalence:
             if baseline is None:
                 baseline = (backup_images, accounting)
             else:
-                assert backup_images == baseline[0], f"lanes={lanes}"
-                assert accounting == baseline[1], f"lanes={lanes}"
-
-
-class TestLaneScheduler:
-    def test_round_robin_partition(self):
-        lanes = partition_lanes(list(range(7)), 3)
-        assert lanes == [[0, 3, 6], [1, 4], [2, 5]]
-
-    def test_more_lanes_than_items_drops_empties(self):
-        assert partition_lanes([1, 2], 8) == [[1], [2]]
-        assert partition_lanes([], 4) == []
-
-    def test_lanes_must_be_positive(self):
-        with pytest.raises(ValueError, match="lanes"):
-            partition_lanes([1], 0)
-
-    def test_lane_delay_is_the_max_cost(self):
-        assert lane_delay(iter([0.5, 2.0, 1.0])) == 2.0
-        assert lane_delay(iter([])) == 0.0
-
-    def test_single_delay_needs_no_processes(self):
-        sim = Simulator(seed=1)
-        spawned = []
-        original = sim.spawn
-
-        def tracking_spawn(*args, **kwargs):
-            spawned.append(args)
-            return original(*args, **kwargs)
-
-        sim.spawn = tracking_spawn
-
-        def waiter():
-            yield from lane_waits(sim, [0.25], name="t")
-
-        sim.run_until_complete(original(waiter()))
-        assert sim.now == 0.25
-        assert spawned == []  # inline timeout, byte-identical to serial
-
-    def test_barrier_waits_for_the_slowest_lane(self):
-        sim = Simulator(seed=1)
-
-        def waiter():
-            yield from lane_waits(sim, [0.1, 0.7, 0.3], name="t")
-
-        sim.run_until_complete(sim.spawn(waiter()))
-        assert sim.now == pytest.approx(0.7)
-
-
-class TestLaneConfigAndMetrics:
-    def test_lanes_must_be_positive(self):
-        with pytest.raises(ValueError, match="apply_lanes"):
-            AdcConfig(apply_lanes=0)
-
-    def test_serial_group_registers_no_lane_metrics(self):
-        """Digest neutrality: lanes=1 must not register new series."""
-        sim, _main, _backup, group, _link, _pvols, _svols = \
-            build_laned_pair(5, lanes=1)
-        assert group.lane_conflicts is None
-        assert group.restore_lanes_gauge is None
-
-    def test_laned_group_exports_gauge_and_conflict_counter(self):
-        sim, main, _backup, group, _link, pvols, _svols = \
-            build_laned_pair(5, lanes=4)
-        assert group.restore_lanes_gauge is not None
-        assert group.restore_lanes_gauge.points[-1][1] == 4
-        assert group.lane_conflicts is not None
-
-        def writer():
-            # same block twice in one window: the second write
-            # supersedes the first (last-writer-wins coalescing)
-            for tag in range(6):
-                yield from main.host_write(pvols[0].volume_id, 3,
-                                           b"c%d" % tag)
-
-        sim.run_until_complete(sim.spawn(writer()))
-        drain(sim, group)
-        assert group.lane_conflicts.value >= 1
+                label = f"concurrency={concurrency}"
+                assert backup_images == baseline[0], label
+                assert accounting == baseline[1], label

@@ -5,8 +5,8 @@ The contract under test: opening the transfer window
 sizing may only change *when* entries cross the wire — never the
 converged backup image, the ingest order (backup journals reject
 out-of-order sequences, so any violation raises mid-run), or the
-quarantine/repair semantics.  Window 1 must behave exactly like the
-historical stop-and-wait loop.
+quarantine/repair semantics.  Window 1 is the degenerate case of the one
+transfer loop and must behave exactly like stop-and-wait.
 """
 
 import pytest
@@ -172,6 +172,43 @@ class TestWindowEquivalence:
                 baseline = backup_image
             else:
                 assert backup_image == baseline, f"window={window}"
+
+
+class TestOneTransferLoop:
+    """Window 1 is the degenerate case of the one transfer loop: the
+    head of an empty pipeline ships inline, so stop-and-wait never
+    spawns a shipment process — while wider windows still pipeline."""
+
+    def backlog_pair(self, window, entries=64):
+        """Pair with a pre-filled backlog of ``entries // 8`` batches
+        on the bandwidth-bound link; spawned process names recorded."""
+        sim, main, group, link, pvol, svol = build_windowed_pair(
+            41, window)
+        group.stop()
+        sim.run_until_complete(sim.spawn(main.host_write_many(
+            [(pvol.volume_id, index % 64, b"p%d" % index)
+             for index in range(entries)])))
+        spawned = []
+        spawn = sim.spawn
+
+        def recording_spawn(generator, name=""):
+            spawned.append(name)
+            return spawn(generator, name=name)
+
+        sim.spawn = recording_spawn
+        group.restart()
+        drain(sim, group)
+        assert image_of(svol) == image_of(pvol)
+        return spawned, link
+
+    def test_window_one_never_spawns_a_shipment(self):
+        spawned, _link = self.backlog_pair(window=1)
+        assert not [name for name in spawned if ".ship-" in name]
+
+    def test_window_four_keeps_four_batches_on_the_wire(self):
+        spawned, link = self.backlog_pair(window=4)
+        assert [name for name in spawned if ".ship-" in name]
+        assert link.peak_queue_depth == 4
 
 
 class TestCoalesceHelper:

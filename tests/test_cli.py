@@ -87,6 +87,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["chaos", "--transfer-window", "0"])
 
+    def test_chaos_restore_concurrency_argument(self):
+        args = build_parser().parse_args(
+            ["chaos", "--restore-concurrency", "4"])
+        assert args.restore_concurrency == 4
+        assert build_parser().parse_args(
+            ["chaos"]).restore_concurrency == 1
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos", "--apply-lanes", "4"])
+
+    def test_chaos_rejects_nonpositive_restore_concurrency(self):
+        with pytest.raises(SystemExit, match="restore-concurrency"):
+            main(["chaos", "--restore-concurrency", "0"])
+
 
 class TestCommands:
     def test_demo_command_prints_summary(self, capsys):
