@@ -373,10 +373,8 @@ def _transfer_drain_run(entries: int, window: int = 8,
 
     sim = Simulator(seed=11)
     _disable_tracing(sim)
-    params = dict(transfer_interval=0.0005, transfer_batch=512,
-                  transfer_window=window, adaptive_batch=True,
-                  transfer_batch_min=256, transfer_batch_max=4096,
-                  transfer_batch_step=256,
+    params = dict(transfer_interval=0.0005, transfer_batch=4096,
+                  transfer_window=window,
                   restore_interval=0.0005, restore_batch=4096,
                   restore_concurrency=8, interval_jitter=0.0)
     if reduction is not None:
@@ -445,7 +443,7 @@ def bench_transfer_drain(entries: int, window: int = 8) -> float:
     """Pipelined wire-path drain rate in entries per **simulated** s.
 
     A pre-filled main journal drains over a 10 ms / 200 MB/s link with
-    ``window`` batches in flight and adaptive batch sizing on.  The
+    ``window`` fixed 4096-entry batches in flight.  The
     clock is simulated time, so the value is deterministic: it moves
     when the transfer protocol changes (batching, pipelining, window
     management), never when the host machine does.  ``window=1``
@@ -508,6 +506,7 @@ def bench_initial_copy(blocks: int) -> float:
     from repro.simulation.kernel import Simulator
     from repro.simulation.network import NetworkLink
     from repro.storage.array import ArrayConfig, StorageArray
+    from repro.storage.sdc import BLOCK_SIZE_BYTES
 
     sim = Simulator(seed=13)
     _disable_tracing(sim)
@@ -535,7 +534,7 @@ def bench_initial_copy(blocks: int) -> float:
                   name="perf-sdc-recopy"))
     elapsed = sim.now - started
     delta_bytes = link.bytes_transferred - bytes_before
-    full_bytes = blocks * mirror.config.block_size_bytes
+    full_bytes = blocks * BLOCK_SIZE_BYTES
     assert delta_bytes * 5 <= full_bytes, (delta_bytes, full_bytes)
     return blocks / elapsed
 

@@ -10,11 +10,9 @@ array and a backup array:
   groups drift apart exactly like independent links in a real system),
   ships a batch of entries over the inter-site link, and ingests them
   into the backup journal volume; with ``transfer_window > 1`` it
-  *pipelines* — several batches ride the link concurrently (FIFO on the
-  shared-bandwidth wire) while receive-side ingest stays strictly in
-  sequence order, and ``adaptive_batch`` grows/shrinks the batch
-  AIMD-style between configured bounds from the journal backlog and the
-  observed drain rate;
+  *pipelines* — several fixed-size batches of ``transfer_batch`` entries
+  ride the link concurrently (FIFO on the shared-bandwidth wire) while
+  receive-side ingest stays strictly in sequence order;
 * the **restore** process applies ingested entries to the secondary
   volumes *in sequence order*, in windows of up to ``restore_concurrency``
   entries that each commit at one instant, pausing at window boundaries
@@ -65,6 +63,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
     from repro.storage.volume import Volume
 
+#: journal appends land in array cache; far cheaper than media writes
+JOURNAL_APPEND_LATENCY = 0.00005
+#: minimum spacing between lag-gauge samples while the transfer loop is
+#: idle (journal empty), so long idle soaks don't accumulate one
+#: redundant sample per wake-up
+IDLE_LAG_SAMPLE_INTERVAL = 0.05
+#: wake-up period of the auto-repair loop
+REPAIR_DELAY = 0.02
+#: auto-repair wake-ups before giving up (operator takes over);
+#: :meth:`JournalGroup.ensure_repair` re-arms the loop
+REPAIR_MAX_ATTEMPTS = 200
+
 
 @dataclass(frozen=True)
 class AdcConfig:
@@ -85,23 +95,9 @@ class AdcConfig:
     #: N on the link's FIFO wire, hiding the propagation latency, while
     #: receive-side ingest stays strictly in sequence order.
     transfer_window: int = 1
-    #: AIMD batch sizing: grow the transfer batch additively while the
-    #: journal backlog keeps batches full and the wire drains them
-    #: under ``batch_target_time``; halve it when a shipment fails or
-    #: the observed drain time blows past twice the target.  Off by
-    #: default (fixed ``transfer_batch``).
-    adaptive_batch: bool = False
-    #: adaptive-batch bounds and additive-increase step
-    transfer_batch_min: int = 64
-    transfer_batch_max: int = 8192
-    transfer_batch_step: int = 64
-    #: desired simulated wire time per shipped batch (drives AIMD)
-    batch_target_time: float = 0.01
     restore_interval: float = 0.002
     restore_batch: int = 512
     interval_jitter: float = 0.5
-    #: journal appends land in array cache; far cheaper than media writes
-    journal_append_latency: float = 0.00005
     #: restore applies per window.  1 = strictly serial (every instant
     #: is a prefix of the journal order); >1 takes up to this many
     #: entries as one window, coalesces same-(volume, block) conflicts
@@ -123,19 +119,9 @@ class AdcConfig:
     #: window's high sequence.  Off by default (ship-everything is the
     #: paper's §III-A1 baseline); E7 quantifies the wire-byte saving.
     coalesce_overwrites: bool = False
-    #: minimum spacing between lag-gauge samples while the transfer
-    #: loop is idle (journal empty), so long idle soaks don't
-    #: accumulate one redundant sample per wake-up.  0 samples on
-    #: every idle wake-up.
-    idle_lag_sample_interval: float = 0.05
     #: after an integrity quarantine, automatically resync the affected
     #: dirty ranges once the link is healthy (self-healing repair)
     auto_repair: bool = True
-    #: wake-up period of the auto-repair loop
-    repair_delay: float = 0.02
-    #: auto-repair wake-ups before giving up (operator takes over);
-    #: :meth:`JournalGroup.ensure_repair` re-arms the loop
-    repair_max_attempts: int = 200
     #: wire data reduction (fingerprint dedup + inline compression) for
     #: the transfer path; off by default — the wire then carries every
     #: payload byte verbatim, exactly as before
@@ -148,27 +134,10 @@ class AdcConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.transfer_window < 1:
             raise ValueError("transfer_window must be >= 1")
-        if self.transfer_batch_min < 1:
-            raise ValueError("transfer_batch_min must be >= 1")
-        if self.transfer_batch_max < self.transfer_batch_min:
-            raise ValueError(
-                "transfer_batch_max must be >= transfer_batch_min")
-        if self.transfer_batch_step < 1:
-            raise ValueError("transfer_batch_step must be >= 1")
-        if self.batch_target_time <= 0:
-            raise ValueError("batch_target_time must be > 0")
         if self.restore_concurrency < 1:
             raise ValueError("restore_concurrency must be >= 1")
         if not 0 <= self.interval_jitter < 1:
             raise ValueError("interval_jitter must be in [0, 1)")
-        if self.journal_append_latency < 0:
-            raise ValueError("journal_append_latency must be >= 0")
-        if self.idle_lag_sample_interval < 0:
-            raise ValueError("idle_lag_sample_interval must be >= 0")
-        if self.repair_delay <= 0:
-            raise ValueError("repair_delay must be > 0")
-        if self.repair_max_attempts < 1:
-            raise ValueError("repair_max_attempts must be >= 1")
         if not isinstance(self.reduction, ReductionConfig):
             raise ValueError("reduction must be a ReductionConfig")
 
@@ -196,10 +165,6 @@ class _Shipment:
     span: Optional[Span] = None
     proc: object = None
     error: Optional[BaseException] = None
-    #: launch instant and whether the batch filled the current batch
-    #: size (AIMD growth requires full batches)
-    shipped_at: float = 0.0
-    full: bool = False
 
 
 class JournalGroup:
@@ -245,19 +210,10 @@ class JournalGroup:
         #: simulated time of the last lag-gauge sample (bounds the idle
         #: sampling cadence of the transfer loop)
         self._lag_sampled_at = float("-inf")
-        #: current transfer batch size; fixed at ``transfer_batch``, or
-        #: AIMD-adjusted between the configured bounds when
-        #: ``adaptive_batch`` is on
-        adc = self.config
-        if adc.adaptive_batch:
-            self._batch_size = min(adc.transfer_batch_max,
-                                   max(adc.transfer_batch_min,
-                                       adc.transfer_batch))
-        else:
-            self._batch_size = adc.transfer_batch
         #: wire data-reduction engine (no-op object when disabled);
         #: shared by the transfer loop and the resync traffic riding it
-        self.reducer = WireReducer(sim, adc.reduction, group=group_id)
+        self.reducer = WireReducer(sim, self.config.reduction,
+                                   group=group_id)
         # -- observability ---------------------------------------------------
         # instruments live in the simulation's metrics registry, keyed
         # by group; the attributes below are the same objects the
@@ -311,18 +267,11 @@ class JournalGroup:
             "repro_repair_resyncs_total",
             help="Automated targeted resyncs driven by integrity repair",
             group=group_id)
-        self.batch_size_gauge = registry.gauge(
-            "repro_transfer_batch_size",
-            help="Transfer batch size currently in use (AIMD-adaptive "
-                 "between the configured bounds when adaptive_batch is "
-                 "on)", unit="entries", group=group_id)
         self.copy_skipped = registry.counter(
             "repro_copy_skipped_blocks_total",
             help="Resync blocks whose (version, crc32) negotiation "
                  "proved the secondary current — they never crossed "
                  "the wire", group=group_id)
-        if adc.adaptive_batch:
-            self.batch_size_gauge.sample(sim.now, self._batch_size)
 
     # -- pair management ------------------------------------------------------
 
@@ -394,33 +343,18 @@ class JournalGroup:
         ``span`` is the originating host-write span; the entry carries
         its trace context to the backup site so the restore apply can
         close the causal chain.  ``checksum`` reuses the payload CRC32
-        the host-write path already computed.
+        the host-write path already computed.  The one-write case of
+        :meth:`journal_append_many`.
         """
-        tracer = self.tracer
-        append_span = None
-        if tracer.enabled:
-            append_span = tracer.start(
-                "journal-append", parent=span, group=self.group_id,
-                volume=volume_id, block=block)
-        if self.config.journal_append_latency > 0:
-            yield self.sim.timeout(self.config.journal_append_latency)
-        trace_id, span_id = self._trace_context(span, append_span)
-        entry = self._append_entry(
-            volume_id, block, payload, version,
-            trace_id=trace_id, span_id=span_id, checksum=checksum)
-        protected = entry is not None
-        if append_span is not None:
-            tracer.finish(
-                append_span, status="ok" if protected else "unprotected",
-                protected=protected,
-                sequence=entry.sequence if entry else None)
-        return protected
+        protected = yield from self.journal_append_many(
+            [(volume_id, block, payload, version, checksum)], span=span)
+        return protected == 1
 
     def journal_append_many(
             self, writes: List[tuple], span: Optional[Span] = None,
             ) -> Generator[object, object, int]:
         """Append a batch of host writes under **one** journal-append
-        latency and one span (the batched host-write path).
+        latency and one span (the host-write path).
 
         ``writes`` is a sequence of ``(volume_id, block, payload,
         version, checksum)`` in ack order.  Entries are appended in
@@ -435,8 +369,7 @@ class JournalGroup:
             append_span = tracer.start(
                 "journal-append", parent=span, group=self.group_id,
                 writes=len(writes))
-        if self.config.journal_append_latency > 0:
-            yield self.sim.timeout(self.config.journal_append_latency)
+        yield self.sim.timeout(JOURNAL_APPEND_LATENCY)
         trace_id, span_id = self._trace_context(span, append_span)
         protected = 0
         append_entry = self._append_entry
@@ -563,15 +496,15 @@ class JournalGroup:
     def _auto_repair(self) -> Generator[object, object, None]:
         """Self-healing loop: resync the dirty delta once the link is up.
 
-        Wakes every ``repair_delay`` until the resync sticks (the pairs
-        leave PSUE) or ``repair_max_attempts`` wake-ups pass — a resync
+        Wakes every :data:`REPAIR_DELAY` until the resync sticks (the
+        pairs leave PSUE) or :data:`REPAIR_MAX_ATTEMPTS` wake-ups pass — a resync
         can be re-suspended by a refilled journal, so one attempt is not
         always enough.
         """
         attempts = 0
-        while self.suspended and attempts < self.config.repair_max_attempts:
+        while self.suspended and attempts < REPAIR_MAX_ATTEMPTS:
             attempts += 1
-            yield self.sim.timeout(self.config.repair_delay)
+            yield self.sim.timeout(REPAIR_DELAY)
             if not self.suspended:
                 return
             if not self.link.is_up:
@@ -617,9 +550,7 @@ class JournalGroup:
                         # version, so it never re-crosses the wire
                         self.copy_skipped.increment()
                         continue
-                    if self.config.journal_append_latency > 0:
-                        yield self.sim.timeout(
-                            self.config.journal_append_latency)
+                    yield self.sim.timeout(JOURNAL_APPEND_LATENCY)
                     entry = self._append_entry(
                         volume_id, block, value.payload, value.version,
                         trace_id=resync_span.trace_id,
@@ -705,32 +636,6 @@ class JournalGroup:
                 if survivor[(entry.volume_id, entry.block)]
                 == entry.sequence]
         return ship, survivor
-
-    def _adapt_batch(self, ok: bool, full: bool, drain_time: float,
-                     backlog: int) -> None:
-        """AIMD transfer-batch sizing (no-op unless ``adaptive_batch``).
-
-        Additive increase: while the journal backlog keeps batches full
-        and the observed per-batch drain time stays under
-        ``batch_target_time``, grow by ``transfer_batch_step`` up to
-        ``transfer_batch_max``.  Multiplicative decrease: a failed
-        shipment, or a drain time beyond twice the target (the link is
-        slower than the batch assumes), halves the batch down to
-        ``transfer_batch_min``.
-        """
-        config = self.config
-        if not config.adaptive_batch:
-            return
-        size = self._batch_size
-        if not ok or drain_time > 2 * config.batch_target_time:
-            size = max(config.transfer_batch_min, size // 2)
-        elif full and backlog > 0 and \
-                drain_time < config.batch_target_time:
-            size = min(config.transfer_batch_max,
-                       size + config.transfer_batch_step)
-        if size != self._batch_size:
-            self._batch_size = size
-            self.batch_size_gauge.sample(self.sim.now, size)
 
     def _encode_ship(self, ship: List[JournalEntry],
                      ) -> Tuple[Optional[List[EncodedPayload]], int]:
@@ -913,9 +818,7 @@ class JournalGroup:
                 last_sequence=ship[-1].sequence)
         shipment = _Shipment(
             batch=batch, ship=ship, survivor=survivor,
-            payload_bytes=payload_bytes, encodings=encodings, span=span,
-            shipped_at=self.sim.now,
-            full=len(batch) >= self._batch_size)
+            payload_bytes=payload_bytes, encodings=encodings, span=span)
         if spawn:
             shipment.proc = self.sim.spawn(
                 self._ship(shipment),
@@ -941,14 +844,12 @@ class JournalGroup:
         config = self.config
         inflight: Deque[_Shipment] = deque()
         covered = 0  # journal entries held by in-flight shipments
-        last_done: Optional[float] = None
         while self._running:
             if inflight:
                 if not self._transfer_enabled:
                     return
                 launch = not self.suspended and self.link.is_up
             else:
-                last_done = None
                 yield self.sim.timeout(
                     self._jittered(config.transfer_interval, "transfer"))
                 if not self._running or not self._transfer_enabled:
@@ -963,14 +864,14 @@ class JournalGroup:
                     # idle: keep the lag gauges fresh at a bounded
                     # cadence (no redundant sample per idle wake-up)
                     if self.sim.now - self._lag_sampled_at \
-                            >= config.idle_lag_sample_interval:
+                            >= IDLE_LAG_SAMPLE_INTERVAL:
                         self._sample_lag()
                     continue
                 launch = True
             while launch and len(inflight) < config.transfer_window and \
                     len(self.main_journal) > covered:
                 batch = self.main_journal.peek_batch(
-                    self._batch_size, offset=covered)
+                    config.transfer_batch, offset=covered)
                 if not batch:
                     break
                 inflight.append(self._launch_shipment(
@@ -992,14 +893,6 @@ class JournalGroup:
                 status = "link-down"
             else:
                 status = self._receive_batch(head)
-            # AIMD feeds on the gap between head completions: in a
-            # full pipeline that gap is the batch's serialisation
-            # time, the actual per-batch drain rate of the wire
-            since = head.shipped_at if last_done is None else last_done
-            last_done = self.sim.now
-            self._adapt_batch(status == "ok", head.full,
-                              self.sim.now - since,
-                              len(self.main_journal) - covered)
             if status != "ok":
                 # the pipeline behind a failed head is void: nothing
                 # was trimmed, so those entries re-ship in order — and
@@ -1013,7 +906,6 @@ class JournalGroup:
                                            status="discarded")
                 inflight.clear()
                 covered = 0
-                last_done = None
             if status != "link-down":
                 self._sample_lag()
 

@@ -40,16 +40,16 @@ from repro.storage.snapshot import Snapshot, SnapshotGroup
 from repro.storage.volume import (BlockValue, MediaProfile, Volume,
                                   VolumeRole)
 
+#: entry capacity of a journal volume created without an explicit size
+JOURNAL_CAPACITY_ENTRIES = 200_000
+
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Array-wide defaults: media latencies and journal sizing."""
+    """Array-wide defaults: media latencies and the ADC knobs."""
 
     media: MediaProfile = field(default_factory=MediaProfile)
-    block_size_bytes: int = 4096
-    journal_capacity_entries: int = 200_000
     adc: AdcConfig = field(default_factory=AdcConfig)
-    sdc: SdcConfig = field(default_factory=SdcConfig)
 
     def with_adc(self, **overrides) -> "ArrayConfig":
         """Copy of this config with ADC knobs overridden."""
@@ -250,7 +250,7 @@ class StorageArray:
         """Create a journal volume (reserves pool capacity 1:1 by entry)."""
         self._check_alive()
         pool = self._require_pool(pool_id)
-        capacity = capacity_entries or self.config.journal_capacity_entries
+        capacity = capacity_entries or JOURNAL_CAPACITY_ENTRIES
         journal_id = next(self._journal_ids)
         pool.reserve(f"journal-{journal_id}", capacity)
         journal = JournalVolume(
@@ -344,13 +344,14 @@ class StorageArray:
     def create_sync_mirror(self, mirror_id: str, link: NetworkLink,
                            sdc_config: Optional[SdcConfig] = None,
                            ) -> SyncMirror:
-        """Create a synchronous mirror context over ``link``."""
+        """Create a synchronous mirror context over ``link``
+        (``SdcConfig()`` unless ``sdc_config`` is given)."""
         self._check_alive()
         if mirror_id in self.sync_mirrors:
             raise ReplicationError(
                 f"array {self.serial}: sync mirror {mirror_id} exists")
         mirror = SyncMirror(self.sim, mirror_id, link,
-                            config=sdc_config or self.config.sdc)
+                            config=sdc_config)
         self.sync_mirrors[mirror_id] = mirror
         self._audit("create_sync_mirror", mirror_id=mirror_id)
         return mirror

@@ -28,19 +28,21 @@ from repro.telemetry.spans import Span
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.kernel import Simulator
 
+#: wire bytes of one mirrored block: every synchronous write and every
+#: stale block of a bulk copy crosses the link at this size
+BLOCK_SIZE_BYTES = 4096
+
 
 @dataclass(frozen=True)
 class SdcConfig:
     """Tuning knobs of the synchronous mirror.
 
-    ``fence_level`` follows array convention: ``"never"`` keeps accepting
-    (unprotected, dirty-tracked) host writes when the link fails, which
-    is what production systems choose to avoid a replication outage
-    becoming a business outage.
+    A link failure always suspends the pair and keeps accepting
+    (unprotected, dirty-tracked) host writes — the ``"never"`` fence
+    level production systems choose so a replication outage does not
+    become a business outage.
     """
 
-    block_size_bytes: int = 4096
-    fence_level: str = "never"
     #: blocks per bulk-copy chunk: initial copy and resync negotiate
     #: and ship this many blocks per link round trip instead of paying
     #: one propagation delay per block
@@ -55,11 +57,6 @@ class SdcConfig:
     reduction: ReductionConfig = DISABLED_REDUCTION
 
     def __post_init__(self) -> None:
-        if self.block_size_bytes < 1:
-            raise ValueError("block_size_bytes must be >= 1")
-        if self.fence_level not in ("never", "data"):
-            raise ValueError(
-                f"fence_level must be 'never' or 'data': {self.fence_level}")
         if self.copy_batch_blocks < 1:
             raise ValueError("copy_batch_blocks must be >= 1")
         if self.negotiate_metadata_bytes < 1:
@@ -98,7 +95,7 @@ class SyncMirror:
             help="Pair suspensions caused by link failures",
             mirror=mirror_id)
         self.copy_skipped = registry.counter(
-            "repro_copy_skipped_blocks_total",
+            "repro_sdc_copy_skipped_blocks_total",
             help="Bulk-copy blocks whose (version, crc32) negotiation "
                  "proved the secondary current — they never crossed "
                  "the wire", mirror=mirror_id)
@@ -147,7 +144,7 @@ class SyncMirror:
         per-block ``(version, crc32)`` metadata and waits one
         propagation delay for the verdict; blocks the secondary proves
         current never cross the wire (counted in
-        ``repro_copy_skipped_blocks_total``).  The stale remainder
+        ``repro_sdc_copy_skipped_blocks_total``).  The stale remainder
         ships as one batched payload transfer and applies with
         overlapped media writes — the whole chunk costs three one-way
         delays instead of one per block.
@@ -187,12 +184,12 @@ class SyncMirror:
                 pending = reducer.begin_batch()
                 encodings = [
                     reducer.encode(value.payload, pending,
-                                   raw_bytes=config.block_size_bytes)
+                                   raw_bytes=BLOCK_SIZE_BYTES)
                     for _block, value in stale]
                 wire_bytes = sum(e.wire_bytes for e in encodings)
             else:
                 encodings = None
-                wire_bytes = config.block_size_bytes * len(stale)
+                wire_bytes = BLOCK_SIZE_BYTES * len(stale)
             try:
                 yield from self.link.transfer(wire_bytes)
             except LinkDownError:
@@ -233,7 +230,7 @@ class SyncMirror:
         The copy is delta-negotiated and batched: per-block
         ``(version, crc32)`` metadata is exchanged *before* any payload
         moves, so blocks already current on the S-VOL pay the metadata
-        bytes only — never the ``block_size_bytes`` wire cost.
+        bytes only — never the :data:`BLOCK_SIZE_BYTES` wire cost.
         """
         pair = self._require_pair(pair_id)
         items = sorted(pair.pvol.block_map().items())
@@ -247,9 +244,8 @@ class SyncMirror:
 
         Called from the host-write path after the local apply.  Returns
         True when the write reached the secondary, False when the mirror
-        is suspended (fence level "never") and the write is only
-        dirty-tracked.  With fence level "data" a link failure raises.
-        ``span`` is the originating host-write span.
+        is suspended and the write is only dirty-tracked.  ``span`` is
+        the originating host-write span.
         """
         pair = self._pairs_by_pvol.get(volume_id)
         if pair is None:
@@ -264,7 +260,7 @@ class SyncMirror:
         lock = self._pair_locks[pair.pair_id]
         yield lock.acquire()
         try:
-            yield from self.link.transfer(self.config.block_size_bytes)
+            yield from self.link.transfer(BLOCK_SIZE_BYTES)
             yield from pair.svol.write_block(
                 block, payload, version=version)
             # The completion status travels back before the host ack.
@@ -274,9 +270,6 @@ class SyncMirror:
         except LinkDownError:
             # fingerprint state is void after any link failure
             self.reducer.invalidate()
-            if self.config.fence_level == "data":
-                self.tracer.finish(rep_span, status="error")
-                raise
             pair.suspend(PairState.PSUE, "link down")
             pair.mark_dirty(volume_id, block)
             self.suspensions.increment()

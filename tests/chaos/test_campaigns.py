@@ -121,7 +121,7 @@ class TestPipelinedCampaign:
         assert again.counters == report.counters
 
 
-class TestLanedCampaign:
+class TestRestoreConcurrencyCampaign:
     """The quick storm with windowed parallel restore.
 
     Restore windows sit under exactly the machinery chaos stresses —
@@ -152,7 +152,7 @@ class TestLanedCampaign:
         assert report.counters["corrupted_payloads_injected"] >= 1
         assert detections(report) >= 1
 
-    def test_laned_run_is_deterministic(self, report):
+    def test_run_is_deterministic(self, report):
         again = run_campaign(seed=7, preset="quick",
                              adc_overrides=dict(restore_concurrency=4))
         assert again.digest == report.digest

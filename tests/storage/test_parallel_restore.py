@@ -158,13 +158,15 @@ def check_cuts(plan, svol_ids, cut_views):
             assert frozen == versions[vid], f"cut@{cut_sequence} versions"
 
 
-class TestLaneEquivalence:
-    """A lane is one concurrent apply slot of a restore window: the
-    properties sweep ``restore_concurrency`` over :data:`CONCURRENCY`."""
+class TestRestoreConcurrencyEquivalence:
+    """The properties sweep ``restore_concurrency`` — the number of
+    entries one restore window applies concurrently — over
+    :data:`CONCURRENCY`."""
 
     @given(plan=write_plan, cuts=cut_times)
     @settings(max_examples=20, deadline=None)
-    def test_any_lane_count_converges_to_the_same_image(self, plan, cuts):
+    def test_any_concurrency_converges_to_the_same_image(self, plan,
+                                                         cuts):
         """Windowed == serial for any clean write stream: the backup
         images, the RPO accounting, and every mid-stream quiesced
         snapshot cut all match the serial applier."""

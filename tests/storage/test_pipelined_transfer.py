@@ -1,12 +1,13 @@
-"""Pipelined inter-site transfer: window equivalence, adaptive batch.
+"""Pipelined inter-site transfer: window and batch-size equivalence.
 
 The contract under test: opening the transfer window
-(``AdcConfig.transfer_window > 1``) and turning on adaptive batch
-sizing may only change *when* entries cross the wire — never the
-converged backup image, the ingest order (backup journals reject
-out-of-order sequences, so any violation raises mid-run), or the
-quarantine/repair semantics.  Window 1 is the degenerate case of the one
-transfer loop and must behave exactly like stop-and-wait.
+(``AdcConfig.transfer_window > 1``) and resizing the transfer batch
+(``AdcConfig.transfer_batch``) may only change *when* entries cross the
+wire — never the converged backup image, the ingest order (backup
+journals reject out-of-order sequences, so any violation raises
+mid-run), or the quarantine/repair semantics.  Window 1 is the
+degenerate case of the one transfer loop and must behave exactly like
+stop-and-wait.
 """
 
 import pytest
@@ -22,6 +23,9 @@ from tests.storage.conftest import fast_adc
 #: windows the equivalence properties sweep: stop-and-wait, barely
 #: pipelined, deeply pipelined
 WINDOWS = (1, 2, 8)
+#: transfer batch sizes the properties draw from: one entry per batch,
+#: a few batches per plan, the whole plan in one batch
+batch_size = st.sampled_from((1, 8, 64))
 
 write_plan = st.lists(
     st.tuples(st.integers(0, 15),                 # block
@@ -100,14 +104,16 @@ def run_plan(window, plan, seed=17, fault=None, **overrides):
 
 
 class TestWindowEquivalence:
-    @given(plan=write_plan)
+    @given(plan=write_plan, batch=batch_size)
     @settings(max_examples=20, deadline=None)
-    def test_any_window_converges_to_the_same_image(self, plan):
-        """Pipelined == stop-and-wait for any clean write stream: the
-        backup image, its versions, and the entry count all match."""
+    def test_any_window_converges_to_the_same_image(self, plan, batch):
+        """Pipelined == stop-and-wait for any clean write stream and
+        batch size: the backup image, its versions, and the entry count
+        all match."""
         baseline = None
         for window in WINDOWS:
-            backup_image, primary_image, group = run_plan(window, plan)
+            backup_image, primary_image, group = run_plan(
+                window, plan, batch=batch)
             assert backup_image == primary_image
             shipped = group.transferred_count.value
             if baseline is None:
@@ -116,11 +122,11 @@ class TestWindowEquivalence:
                 assert backup_image == baseline[0], f"window={window}"
                 assert shipped == baseline[1], f"window={window}"
 
-    @given(plan=write_plan, fail_at=st.floats(0.001, 0.05),
-           outage=st.floats(0.01, 0.1))
+    @given(plan=write_plan, batch=batch_size,
+           fail_at=st.floats(0.001, 0.05), outage=st.floats(0.01, 0.1))
     @settings(max_examples=15, deadline=None)
     def test_link_flap_mid_window_converges_identically(
-            self, plan, fail_at, outage):
+            self, plan, batch, fail_at, outage):
         """A partition that kills several in-flight shipments must
         discard and re-ship without reordering: every window converges
         to the primary's image."""
@@ -135,16 +141,17 @@ class TestWindowEquivalence:
         baseline = None
         for window in WINDOWS:
             backup_image, primary_image, _group = run_plan(
-                window, plan, fault=flap)
+                window, plan, fault=flap, batch=batch)
             assert backup_image == primary_image
             if baseline is None:
                 baseline = backup_image
             else:
                 assert backup_image == baseline, f"window={window}"
 
-    @given(plan=write_plan)
+    @given(plan=write_plan, batch=batch_size)
     @settings(max_examples=15, deadline=None)
-    def test_wire_corruption_mid_window_heals_identically(self, plan):
+    def test_wire_corruption_mid_window_heals_identically(self, plan,
+                                                          batch):
         """Deterministic wire corruption (by sequence, so every window
         corrupts the same entries): quarantine + auto-repair must
         converge every window to the primary's image, and no corrupted
@@ -164,7 +171,7 @@ class TestWindowEquivalence:
         baseline = None
         for window in WINDOWS:
             backup_image, primary_image, group = run_plan(
-                window, plan, fault=corrupt)
+                window, plan, fault=corrupt, batch=batch)
             assert backup_image == primary_image
             if len(plan) >= 4:  # sequences 1.. carry at least one hit
                 assert group.corruptions_wire.value >= 1
@@ -235,85 +242,7 @@ class TestCoalesceHelper:
         assert [e.sequence for e in ship] == [5]
 
 
-class TestAdaptiveBatch:
-    def adaptive_pair(self, window, entries=1500):
-        """Pair with adaptive sizing and a pre-filled backlog."""
-        sim, main, group, link, pvol, svol = build_windowed_pair(
-            31, window, blocks=512, batch=64, bandwidth=50_000_000,
-            adaptive_batch=True, transfer_batch_min=64,
-            transfer_batch_max=512, transfer_batch_step=64,
-            batch_target_time=0.05)
-        group.stop()
-
-        def writer():
-            for first in range(0, entries, 128):
-                count = min(128, entries - first)
-                yield from main.host_write_many(
-                    [(pvol.volume_id, (first + i) % 512, b"a")
-                     for i in range(count)])
-
-        sim.run_until_complete(sim.spawn(writer()))
-        group.restart()
-        return sim, group, link
-
-    @pytest.mark.parametrize("window", [1, 4])
-    def test_backlog_grows_the_batch(self, window):
-        sim, group, _link = self.adaptive_pair(window)
-        assert group._batch_size == 64
-        drain(sim, group)
-        assert group._batch_size > 64
-        assert group.batch_size_gauge.points[-1][1] == group._batch_size
-
-    def test_link_failure_halves_down_to_the_floor(self):
-        sim, group, link = self.adaptive_pair(4)
-
-        def flap():
-            yield sim.timeout(0.005)
-            link.fail()
-            yield sim.timeout(2.0)
-            link.restore()
-
-        sim.spawn(flap())
-        drain(sim, group)
-        floor_hit = min(value for _t, value
-                        in group.batch_size_gauge.points)
-        assert floor_hit == 64  # repeated failures halve to the min
-
-    @pytest.mark.parametrize("window", [1, 4])
-    def test_size_stays_within_bounds(self, window):
-        sim, group, _link = self.adaptive_pair(window)
-        drain(sim, group)
-        sizes = [value for _t, value in group.batch_size_gauge.points]
-        assert sizes, "adaptive sizing never sampled the gauge"
-        assert all(64 <= size <= 512 for size in sizes)
-
-    def test_static_sizing_never_samples_the_gauge(self):
-        _sim, _main, group, _link, _pvol, _svol = build_windowed_pair(
-            33, window=2)
-        assert group.batch_size_gauge.points == []
-
-
 class TestConfigValidation:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError, match="transfer_window"):
             AdcConfig(transfer_window=0)
-
-    def test_batch_bounds_must_be_ordered(self):
-        with pytest.raises(ValueError, match="transfer_batch_max"):
-            AdcConfig(transfer_batch_min=256, transfer_batch_max=64)
-
-    def test_batch_min_and_step_must_be_positive(self):
-        with pytest.raises(ValueError, match="transfer_batch_min"):
-            AdcConfig(transfer_batch_min=0)
-        with pytest.raises(ValueError, match="transfer_batch_step"):
-            AdcConfig(transfer_batch_step=0)
-
-    def test_target_time_must_be_positive(self):
-        with pytest.raises(ValueError, match="batch_target_time"):
-            AdcConfig(batch_target_time=0.0)
-
-    def test_adaptive_clamps_the_initial_batch(self):
-        sim, _main, group, _link, _pvol, _svol = build_windowed_pair(
-            35, window=1, batch=8, adaptive_batch=True,
-            transfer_batch_min=16, transfer_batch_max=32)
-        assert group._batch_size == 16

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.storage import PairState
+from repro.storage.sdc import BLOCK_SIZE_BYTES
 from tests.storage.conftest import run
 
 
@@ -150,7 +151,7 @@ class TestDeltaNegotiatedCopy:
         moved = two_site.link.bytes_transferred - before
         config = mirror.config
         assert moved == (2 * config.negotiate_metadata_bytes
-                         + 1 * config.block_size_bytes)
+                         + 1 * BLOCK_SIZE_BYTES)
         assert mirror.copy_skipped.value == 1
         assert svol.block_map() == pvol.block_map()
         assert two_site.main.pair_status("sp-0") is PairState.PAIR
@@ -167,7 +168,8 @@ class TestDeltaNegotiatedCopy:
                                               b"x"))
         svol = two_site.backup.create_volume(two_site.backup_pool_id,
                                              blocks)
-        two_site.main.create_sync_mirror("sm-bulk", two_site.link)
+        mirror = two_site.main.create_sync_mirror("sm-bulk",
+                                                  two_site.link)
         started = sim.now
         pair = two_site.main.create_sync_pair(
             "sp-bulk", "sm-bulk", pvol.volume_id, two_site.backup,
@@ -175,7 +177,7 @@ class TestDeltaNegotiatedCopy:
         while not pair.initial_copy_done:
             sim.run(until=sim.now + 0.05)
         elapsed = sim.now - started
-        chunks = blocks / two_site.main.config.sdc.copy_batch_blocks
+        chunks = blocks / mirror.config.copy_batch_blocks
         # three one-way delays per chunk (metadata, verdict, payload)
         # plus slack for media applies and the 50 ms polling grain
         assert elapsed < chunks * 3.5 * two_site.link.latency + 0.2
