@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Generator, List, Optional
 
 from repro.errors import DatabaseError, RecoveryError
@@ -59,12 +60,21 @@ class WalRecord:
             raise DatabaseError(f"unknown WAL record type {self.type!r}")
 
     def to_bytes(self) -> bytes:
-        """Serialise for one log block."""
-        return json.dumps({
-            "type": self.type, "txn_id": self.txn_id, "gtid": self.gtid,
-            "key": self.key, "value": self.value,
-            "checkpoint_lsn": self.checkpoint_lsn, "lsn": self.lsn,
-        }, sort_keys=True, separators=(",", ":")).encode()
+        """Serialise for one log block.
+
+        Byte-identical to ``json.dumps`` of the record's fields with
+        ``sort_keys=True, separators=(",", ":")``, but formatted
+        directly: the keys are written in sorted order and the strings
+        quoted by the same ASCII escaper ``json.dumps`` uses.  Every
+        field is a ``str`` or an ``int`` (``value`` may be ``None``, a
+        delete) — :meth:`MiniDB.put` rejects any other value.
+        """
+        value = "null" if self.value is None else _quote(self.value)
+        return (f'{{"checkpoint_lsn":{self.checkpoint_lsn:d},'
+                f'"gtid":{_quote(self.gtid)},"key":{_quote(self.key)},'
+                f'"lsn":{self.lsn:d},"txn_id":{_quote(self.txn_id)},'
+                f'"type":{_quote(self.type)},"value":{value}}}'
+                ).encode()
 
     @classmethod
     def from_bytes(cls, payload: bytes, lsn: int) -> "WalRecord":

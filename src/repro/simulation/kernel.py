@@ -114,10 +114,16 @@ class Simulator:
         (overwhelmingly common) wait that nobody else observes: the
         kernel schedules the process resume directly, without
         materialising a :class:`Timeout` event object.  The resume fires
-        at exactly the instant — and in exactly the order — the
-        equivalent timeout would have.  Use :meth:`timeout` when the
-        wait needs a value, a name, or combination via
-        ``all_of``/``any_of``; use ``sleep`` for pure pacing.
+        at exactly the instant the equivalent timeout would have, but
+        one hop sooner: a timeout fires and then resumes its process
+        through the now-queue, a sleep resumes it directly.  So when
+        other work is due at the same instant the order can differ —
+        a ``call_at`` queued after a ``timeout(1.0)`` and due with it
+        runs before the woken process, and after a ``sleep(1.0)``'s
+        (``tests/simulation/test_scheduling_order.py`` pins the tie
+        cases).  Use :meth:`timeout` when the wait needs a value, a
+        name, combination via ``all_of``/``any_of``, or the timeout
+        order at ties; use ``sleep`` for pure pacing.
         """
         if delay < 0:
             raise SimTimeError(f"negative sleep delay: {delay}")

@@ -10,8 +10,11 @@ pin that contract:
   ``timeout(0)``, ``call_after(0, ...)``, event-succeed callbacks and
   positive-delay timeouts against an embedded reference implementation
   of the old heap-only scheduler;
-* ``sim.sleep`` (the Timeout-free fast path) must produce histories
-  identical to ``yield sim.timeout`` for the same seed;
+* ``sim.sleep`` (the Timeout-free fast path) resumes at the same
+  instant as ``yield sim.timeout`` and produces identical histories
+  while no wake-up ties with other work at its instant; at a tie the
+  order can differ, and pinned tests record where it does and where
+  it does not;
 * ``run_until_complete(timeout=...)`` advances the clock to the
   deadline before raising, so repeated calls tile simulated time;
 * cancelled ``call_at`` tombstones are invisible: excluded from
@@ -244,6 +247,96 @@ class TestSleepVsTimeout:
         sleep_history, _ = self._history(use_sleep=True, seed=seed,
                                          processes=2, steps=10)
         assert sleep_history == timeout_history
+
+    # The jittered histories above never tie.  At a tie the two waits
+    # are not interchangeable: a timeout resumes its process in two
+    # hops (the Timeout fires, then its callback resumes the process
+    # through the now-queue), a sleep in one (the entry resumes the
+    # process directly).  Work queued between the two hops runs before
+    # a timeout's process and after a sleep's.
+
+    @staticmethod
+    def _wait(sim, use_sleep, delay):
+        return sim.sleep(delay) if use_sleep else sim.timeout(delay)
+
+    def _two_waiters(self, use_sleep):
+        """A and B both wait 1.0 s; A then yields an event that has
+        already succeeded (a zero-delay resume)."""
+        sim = Simulator(seed=1)
+        order = []
+        ready = sim.event()
+        ready.succeed()
+
+        def a(sim):
+            yield self._wait(sim, use_sleep, 1.0)
+            order.append("A-wake")
+            yield ready
+            order.append("A-after-zero")
+
+        def b(sim):
+            yield self._wait(sim, use_sleep, 1.0)
+            order.append("B-wake")
+
+        sim.spawn(a(sim), name="A")
+        sim.spawn(b(sim), name="B")
+        sim.run()
+        return order
+
+    def test_tie_between_waiters_keeps_timeout_order(self):
+        # every wait due at the instant is older than the zero-delay
+        # work the first waker queues, so both waits give one order
+        expected = ["A-wake", "B-wake", "A-after-zero"]
+        assert self._two_waiters(use_sleep=False) == expected
+        assert self._two_waiters(use_sleep=True) == expected
+
+    def _wait_then_callback(self, use_sleep):
+        """A waits 1.0 s; a ``call_at`` due at the same instant is
+        queued after A's wait."""
+        sim = Simulator(seed=1)
+        order = []
+
+        def a(sim):
+            yield self._wait(sim, use_sleep, 1.0)
+            order.append("A-wake")
+
+        sim.spawn(a(sim), name="A")
+        sim.run(until=0.5)
+        sim.call_at(1.0, lambda: order.append("callback"))
+        sim.run()
+        return order
+
+    def test_tie_with_callback_differs(self):
+        # the timeout's resume hop is queued after the callback fires
+        assert self._wait_then_callback(use_sleep=False) == [
+            "callback", "A-wake"]
+        assert self._wait_then_callback(use_sleep=True) == [
+            "A-wake", "callback"]
+
+    def _zero_waits(self, use_sleep):
+        """A waits 0 s; B, spawned after it, yields an event that has
+        already succeeded."""
+        sim = Simulator(seed=1)
+        order = []
+        ready = sim.event()
+        ready.succeed()
+
+        def a(sim):
+            yield self._wait(sim, use_sleep, 0.0)
+            order.append("A")
+
+        def b(sim):
+            yield ready
+            order.append("B")
+
+        sim.spawn(a(sim), name="A")
+        sim.spawn(b(sim), name="B")
+        sim.run()
+        return order
+
+    def test_zero_delay_tie_differs(self):
+        # B's resume is queued between timeout(0)'s two hops
+        assert self._zero_waits(use_sleep=False) == ["B", "A"]
+        assert self._zero_waits(use_sleep=True) == ["A", "B"]
 
     def test_negative_sleep_raises(self):
         sim = Simulator(seed=1)

@@ -54,8 +54,18 @@ class TestTracerUnit:
         spans = [tracer.start(f"s{i}") for i in range(5)]
         assert len(tracer) == 3
         assert tracer.dropped == 2
-        assert tracer.by_id(spans[0].span_id) is None
-        assert tracer.by_id(spans[4].span_id) is spans[4]
+        # oldest-first: the survivors are the newest three, in order
+        assert list(tracer.spans) == spans[2:]
+        for evicted in spans[:2]:
+            assert tracer.by_id(evicted.span_id) is None
+        for kept in spans[2:]:
+            assert tracer.by_id(kept.span_id) is kept
+        # the ring keeps evicting oldest-first past the cap
+        later = [tracer.start(f"t{i}") for i in range(2)]
+        assert tracer.dropped == 4
+        assert list(tracer.spans) == spans[4:] + later
+        assert tracer.by_id(spans[3].span_id) is None
+        assert tracer.by_id(later[1].span_id) is later[1]
 
     def test_deterministic_ids(self):
         _clock, tracer = self._tracer()
